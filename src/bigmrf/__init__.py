@@ -22,7 +22,8 @@ from .sampler import (BATCH_CSV_HEADER, CoverageResult, LowAcceptanceError,
 from .spectrum import (SPECTRUM_CSV_HEADER, LimitConstant, PerturbedSpectrum,
                        SpectralGrid, circulant_block_eigs,
                        exact_symmetric_min_eig, exact_symmetric_spectrum,
-                       lattice_min_eig, limit_constant, min_eig_perturbed,
+                       lattice_min_eig, limit_constant, limit_constants,
+                       min_eig_perturbed,
                        min_eigs_batch, perturbed_spectrum, spectral_grid,
                        transect_min_eig, write_spectrum_csv)
 from .study import (BENCH_CSV_HEADER, FITS_CSV_HEADER, STUDY_CSV_HEADER,
@@ -48,7 +49,8 @@ __all__ = [
     "sample_conditional_slice", "sample_valid",
     "SPECTRUM_CSV_HEADER", "LimitConstant", "PerturbedSpectrum", "SpectralGrid",
     "circulant_block_eigs", "exact_symmetric_min_eig", "exact_symmetric_spectrum",
-    "lattice_min_eig", "limit_constant", "min_eig_perturbed", "min_eigs_batch",
+    "lattice_min_eig", "limit_constant", "limit_constants", "min_eig_perturbed",
+    "min_eigs_batch",
     "perturbed_spectrum", "spectral_grid", "transect_min_eig", "write_spectrum_csv",
     "BENCH_CSV_HEADER", "FITS_CSV_HEADER", "STUDY_CSV_HEADER",
     "BenchRecord", "ConvergenceRecord", "ParityStudy", "SlopeFit",

@@ -16,8 +16,8 @@ from typing import Optional
 import numpy as np
 
 from .core import Theta, _as_dims, GridDims
-from .spectrum import _trig, min_eig_perturbed, min_eigs_batch
-from .validity import circulant_check, exact_check, limit_check
+from .spectrum import _grid_modes, limit_constants, lower_branch_min, min_eigs_batch
+from .validity import LIMIT_TOL, _dd_margins, circulant_check, exact_check
 
 __all__ = [
     "SampleBatch",
@@ -102,13 +102,6 @@ class SampleBatch:
                 out.close()
 
 
-def _dd_margins(thetas: np.ndarray) -> np.ndarray:
-    shared = (np.abs(thetas[:, 0]) + 2.0 * np.abs(thetas[:, 2])
-              + 2.0 * np.abs(thetas[:, 3]))
-    worst = 4.0 * np.maximum(np.abs(thetas[:, 1]), np.abs(thetas[:, 4]))
-    return 1.0 - (worst + shared)
-
-
 def _evaluate(thetas: np.ndarray, dims: GridDims, method: str):
     """(accepted, evidence) for one chunk of proposals under the given method."""
     if method == "circulant":
@@ -119,11 +112,10 @@ def _evaluate(thetas: np.ndarray, dims: GridDims, method: str):
         return ev > 0.0, ev
     if method == "diag_dominance":
         ev = _dd_margins(thetas)
-        return ev >= 0.0, ev
+        return ev > 0.0, ev
     if method == "limit":
-        verdicts = [limit_check(Theta.from_array(t)) for t in thetas]
-        return (np.array([v.valid is True for v in verdicts]),
-                np.array([v.min_eig_evidence for v in verdicts]))
+        ev = limit_constants(thetas)
+        return ev > LIMIT_TOL, ev
     if method == "exact":
         verdicts = [exact_check(Theta.from_array(t), dims) for t in thetas]
         return (np.array([v.valid is True for v in verdicts]),
@@ -224,43 +216,25 @@ def sample_conditional_slice(phi: float, rho11: float, rho22: float, dims,
                        fixed_mask=np.array([1, 1, 0, 0, 1], dtype=bool))
 
 
-def _screen_modes(n: int) -> np.ndarray:
-    """Quarter-spaced Fourier indices; always include 0 and the band edge n//2."""
-    return np.unique((np.arange(4) * n) // 4)
-
-
-def _subset_mins(thetas: np.ndarray, dims: GridDims, chunk: int = 2048) -> np.ndarray:
-    """Lower-branch minimum over a fixed mode subset: an upper bound of the
-    true minimum, so a non-positive value rejects validity exactly.  Chunked
-    so the temporaries stay cache-resident."""
-    cos_a, sin_a, cos_b, sin_b = _trig(dims.n1, dims.n2)
-    ii = _screen_modes(dims.n2)
-    jj = _screen_modes(dims.n1)
-    csum = (cos_a[ii][:, None] + cos_b[jj][None, :]).ravel()
-    ssum = (sin_a[ii][:, None] + sin_b[jj][None, :]).ravel()
-    out = np.empty(thetas.shape[0])
-    for lo in range(0, thetas.shape[0], chunk):
-        t = thetas[lo:lo + chunk]
-        phi, r11, r12, r21, r22 = (t[:, k][:, None] for k in range(5))
-        lam11 = 1.0 + (2.0 * r11) * csum
-        lam22 = 1.0 + (2.0 * r22) * csum
-        re12 = phi + (r12 + r21) * csum
-        im12 = (r21 - r12) * ssum
-        root = np.sqrt((lam11 - lam22) ** 2 + 4.0 * (re12 * re12 + im12 * im12))
-        out[lo:lo + chunk] = (0.5 * (lam11 + lam22) - 0.5 * root).min(axis=1)
-    return out
+def _screen_modes(dims: GridDims):
+    """(csum, ssum) of 16 grid modes: quarter-spaced Fourier indices on each
+    axis, always including 0 and the band edge n//2."""
+    ii = np.unique((np.arange(4) * dims.n2) // 4)
+    jj = np.unique((np.arange(4) * dims.n1) // 4)
+    return _grid_modes(dims.n1, dims.n2, np.repeat(ii, jj.size), np.tile(jj, ii.size))
 
 
 def batch_circulant_valid(thetas: np.ndarray, dims) -> np.ndarray:
     """Exact circulant validity for a (B, 5) array, with screened rejection.
 
-    Verdicts are identical to ``min_eigs_batch(...) > 0``: the mode-subset
-    minimum upper-bounds the full minimum, so a non-positive screen value is
-    a sound rejection and only survivors pay for the full O(n) scan.
+    Verdicts are identical to ``min_eigs_batch(...) > 0``: the 16-mode
+    minimum upper-bounds the minimum over all modes, so a non-positive screen
+    value is a sound rejection and only survivors pay for the O(n1 + n2)
+    hull modes.
     """
     dims = _as_dims(dims)
     thetas = np.asarray(thetas, dtype=np.float64)
-    ok = _subset_mins(thetas, dims) > 0.0
+    ok = lower_branch_min(thetas, *_screen_modes(dims)) > 0.0
     if ok.any():
         ok[ok] = min_eigs_batch(thetas[ok], dims) > 0.0
     return ok
@@ -322,9 +296,8 @@ def dd_coverage_experiment(dims, n_valid: int, seed: int = 0,
 def draw_limit_valid(n: int, seed: int = 0, max_tries: int = 2_000_000) -> list:
     """Draw n parameter vectors whose continuous-symbol minimum is positive.
 
-    Uniform proposals on [-1, 1]^5 are pre-screened by the periodic minimum
-    at (32, 32), which upper-bounds the symbol minimum, before paying for the
-    full refinement; only vectors with ``limit_check(...) is True`` are kept.
+    Uniform proposals on [-1, 1]^5, in blocks of 1024; only vectors with
+    ``limit_check(...) is True`` (C(theta) > LIMIT_TOL) are kept.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -338,15 +311,8 @@ def draw_limit_valid(n: int, seed: int = 0, max_tries: int = 2_000_000) -> list:
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(c,)))
         thetas = rng.uniform(-1.0, 1.0, size=(1024, 5))
         tried += 1024
-        screen = _subset_mins(thetas, GridDims(32, 32)) > 0.0
-        for row in thetas[screen]:
-            theta = Theta.from_array(row)
-            if min_eig_perturbed(theta, (32, 32)) <= 0.0:
-                continue
-            if limit_check(theta).valid is True:
-                out.append(theta)
-                if len(out) == n:
-                    break
+        for row in thetas[limit_constants(thetas) > LIMIT_TOL][:n - len(out)]:
+            out.append(Theta.from_array(row))
         c += 1
     return out
 

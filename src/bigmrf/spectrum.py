@@ -12,9 +12,27 @@ whose eigenvalues are
 
     0.5 * (lam11 + lam22 +/- sqrt((lam11 - lam22)^2 + 4*|lam12|^2)),
 
-so the whole 2n-point spectrum costs O(n).  Replacing the discrete angles by
-free angles on the torus yields the continuous symbol whose minimum C(theta)
-lower-bounds the minimum eigenvalue at every grid size and is its limit.
+so the whole 2n-point spectrum costs O(n).
+
+The minimum costs O(n1 + n2).  The lower branch is half the trace, affine in
+the mode's point (csum, ssum) = (cos a + cos b, sin a + sin b), minus the
+norm of an affine map of it, so it is concave in that point and its minimum
+over the grid's n points sits on the boundary of their convex hull
+(Rockafellar, Convex Analysis, 1970, section 32).  The boundary mode extreme
+in direction psi pairs the a and the b nearest to psi.  As psi turns once,
+the nearest a changes n2 times and the nearest b n1 times; each arc between
+changes gives one mode, and where both change at once the two cross pairs on
+that hull edge are kept too.  That is n1 + n2 modes for most grids (351 of
+30,150 at 201x150) and 3n of n^2 on an n x n grid, and the minimum over them
+is the same float as over all n.
+
+Free angles fill the disk |csum + i*ssum| <= 2, so the continuous-symbol
+minimum C(theta), which lower-bounds the minimum eigenvalue at every grid
+size and is its limit, lies on the circle 2*exp(i*psi).  With c = cos psi,
+k = 2*(rho11 + rho22) and Q(c) = 4*(rho11 - rho22)^2*c^2 + (phi + 2*(rho12 +
+rho21)*c)^2 + 4*(rho21 - rho12)^2*(1 - c^2), it is the minimum over
+c in [-1, 1] of 1 + k*c - sqrt(Q(c)): at c = +/-1 or at a root of the
+quadratic 4*k^2*Q = Q'^2.
 """
 
 from __future__ import annotations
@@ -35,9 +53,11 @@ __all__ = [
     "perturbed_spectrum",
     "min_eig_perturbed",
     "min_eigs_batch",
+    "lower_branch_min",
     "exact_symmetric_spectrum",
     "exact_symmetric_min_eig",
     "limit_constant",
+    "limit_constants",
     "transect_min_eig",
     "lattice_min_eig",
     "SPECTRUM_CSV_HEADER",
@@ -55,19 +75,88 @@ def _trig(n1: int, n2: int):
     return arrs
 
 
-def _symbol_parts(theta: Theta, csum, ssum):
-    """lam11, lam22 and Re/Im of lam12 at angle sums csum=cos a+cos b, ssum=sin a+sin b."""
-    lam11 = 1.0 + (2.0 * theta.rho11) * csum
-    lam22 = 1.0 + (2.0 * theta.rho22) * csum
-    re12 = theta.phi + (theta.rho12 + theta.rho21) * csum
-    im12 = (theta.rho21 - theta.rho12) * ssum
+def _grid_modes(n1: int, n2: int, ii, jj):
+    """(csum, ssum) of the modes (ii[k], jj[k]), from the cached trig tables."""
+    cos_a, sin_a, cos_b, sin_b = _trig(n1, n2)
+    return cos_a[ii] + cos_b[jj], sin_a[ii] + sin_b[jj]
+
+
+@lru_cache(maxsize=128)
+def _hull_modes(n1: int, n2: int):
+    """(csum, ssum) of the modes on the boundary of the grid's convex hull.
+
+    Integer arithmetic on one turn of 2*n1*n2 units: a_i sits at 2*n1*i and
+    b_j at 2*n2*j, so the nearest a changes at (2i+1)*n1 and the nearest b at
+    (2j+1)*n2.  Each arc starting at a change gives one (i, j); a change of
+    both adds the cross pairs of the arcs before and after it.
+    """
+    a_breaks = (2 * np.arange(n2) + 1) * n1
+    b_breaks = (2 * np.arange(n1) + 1) * n2
+    starts = np.union1d(a_breaks, b_breaks)
+    ii = ((starts + n1) // (2 * n1)) % n2
+    jj = ((starts + n2) // (2 * n2)) % n1
+    both = np.isin(starts, a_breaks) & np.isin(starts, b_breaks)
+    ii_before, jj_before = np.roll(ii, 1), np.roll(jj, 1)
+    modes = _grid_modes(n1, n2,
+                        np.concatenate([ii, ii[both], ii_before[both]]),
+                        np.concatenate([jj, jj_before[both], jj[both]]))
+    for arr in modes:
+        arr.flags.writeable = False
+    return modes
+
+
+def _symbol_parts(thetas: np.ndarray, csum, ssum):
+    """lam11, lam22, Re and Im lam12, (B, M), of (B, 5) thetas at modes (M,) or (B, M)."""
+    phi, r11, r12, r21, r22 = (thetas[:, k, None] for k in range(5))
+    lam11 = 1.0 + (2.0 * r11) * csum
+    lam22 = 1.0 + (2.0 * r22) * csum
+    re12 = phi + (r12 + r21) * csum
+    im12 = (r21 - r12) * ssum
     return lam11, lam22, re12, im12
 
 
-def _branches_from_parts(lam11, lam22, re12, im12):
-    root = np.sqrt((lam11 - lam22) ** 2 + 4.0 * (re12 * re12 + im12 * im12))
-    half = 0.5 * (lam11 + lam22)
-    return half - 0.5 * root, half + 0.5 * root
+def _branches(thetas: np.ndarray, csum, ssum):
+    """Lower and upper eigenvalues of the 2x2 blocks, in place on the parts' buffers."""
+    half, lam22, re12, im12 = _symbol_parts(thetas, csum, ssum)
+    root = half - lam22
+    root *= root
+    re12 *= re12
+    im12 *= im12
+    re12 += im12
+    re12 *= 4.0
+    root += re12
+    np.sqrt(root, out=root)
+    root *= 0.5
+    half += lam22
+    half *= 0.5
+    return half - root, half + root
+
+
+# (theta, mode) values per block of lower_branch_min.  8192 keeps each
+# temporary at 64 KB: in cache, and below glibc's default 128 KB mmap
+# threshold, above which every block would page-fault fresh memory.
+_BLOCK = 8192
+
+
+def lower_branch_min(thetas: np.ndarray, csum, ssum) -> np.ndarray:
+    """Lower-branch minimum of each (B, 5) theta row over the modes (csum, ssum).
+
+    The one symbol kernel: the periodic minima, the certificate, the sampler's
+    screen and C(theta) all evaluate the lower branch through it.
+    """
+    out = np.empty(thetas.shape[0])
+    rows = max(1, _BLOCK // np.shape(csum)[-1])
+    for lo in range(0, thetas.shape[0], rows):
+        sl = slice(lo, lo + rows)
+        c, s = (csum, ssum) if np.ndim(csum) == 1 else (csum[sl], ssum[sl])
+        out[sl] = _branches(thetas[sl], c, s)[0].min(axis=1)
+    return out
+
+
+def _full_grid(dims: GridDims):
+    """(csum, ssum) of all n modes, flat in row-major (i, j) order."""
+    cos_a, sin_a, cos_b, sin_b = _trig(dims.n1, dims.n2)
+    return (cos_a[:, None] + cos_b).ravel(), (sin_a[:, None] + sin_b).ravel()
 
 
 def circulant_block_eigs(x: float, y: float, z: float, dims) -> np.ndarray:
@@ -77,9 +166,7 @@ def circulant_block_eigs(x: float, y: float, z: float, dims) -> np.ndarray:
     (x == z) therefore comes out with exactly zero imaginary part.
     """
     dims = _as_dims(dims)
-    cos_a, sin_a, cos_b, sin_b = _trig(dims.n1, dims.n2)
-    csum = cos_a[:, None] + cos_b[None, :]
-    ssum = sin_a[:, None] + sin_b[None, :]
+    csum, ssum = (m.reshape(dims.n2, dims.n1) for m in _full_grid(dims))
     x, y, z = float(x), float(y), float(z)
     return (y + (x + z) * csum) + 1j * ((x - z) * ssum)
 
@@ -96,10 +183,9 @@ class SpectralGrid:
 
 def spectral_grid(theta: Theta, dims) -> SpectralGrid:
     dims = _as_dims(dims)
-    cos_a, sin_a, cos_b, sin_b = _trig(dims.n1, dims.n2)
-    csum = cos_a[:, None] + cos_b[None, :]
-    ssum = sin_a[:, None] + sin_b[None, :]
-    lam11, lam22, re12, im12 = _symbol_parts(theta, csum, ssum)
+    shape = (dims.n2, dims.n1)
+    lam11, lam22, re12, im12 = (p.reshape(shape) for p in _symbol_parts(
+        theta.as_array()[None, :], *_full_grid(dims)))
     return SpectralGrid(dims=dims, lam11=lam11, lam22=lam22, lam12=re12 + 1j * im12)
 
 
@@ -115,102 +201,37 @@ class PerturbedSpectrum:
 
 
 def perturbed_spectrum(theta: Theta, dims) -> PerturbedSpectrum:
-    """All 2n eigenvalues of the periodic precision, in O(n)."""
+    """All 2n eigenvalues of the periodic precision, in O(n).
+
+    A full scan of every mode: the reference the hull-mode minimum of
+    :func:`min_eig_perturbed` is tested against.
+    """
     dims = _as_dims(dims)
-    cos_a, sin_a, cos_b, sin_b = _trig(dims.n1, dims.n2)
-    csum = cos_a[:, None] + cos_b[None, :]
-    ssum = sin_a[:, None] + sin_b[None, :]
-    minus, plus = _branches_from_parts(*_symbol_parts(theta, csum, ssum))
+    shape = (dims.n2, dims.n1)
+    minus, plus = (b.reshape(shape) for b in _branches(
+        theta.as_array()[None, :], *_full_grid(dims)))
     flat = int(np.argmin(minus))
     i, j = divmod(flat, dims.n1)
     return PerturbedSpectrum(dims=dims, minus=minus, plus=plus,
                              min_eig=float(minus[i, j]), argmin=(i, j, "minus"))
 
 
-def min_eig_perturbed(theta: Theta, dims, scan: str = "full") -> float:
-    """Minimum eigenvalue of the periodic precision.
-
-    ``scan="full"`` evaluates all n lower-branch values (the correctness
-    baseline).  ``scan="reduced"`` exploits the small number of local minima
-    along the fast axis, probing anchor points per block row plus a discrete
-    ternary refinement; it is cross-validated against the full scan in the
-    test suite and never used where the two could silently disagree.
-    """
-    dims = _as_dims(dims)
-    if scan == "full":
-        cos_a, sin_a, cos_b, sin_b = _trig(dims.n1, dims.n2)
-        csum = cos_a[:, None] + cos_b[None, :]
-        ssum = sin_a[:, None] + sin_b[None, :]
-        minus, _ = _branches_from_parts(*_symbol_parts(theta, csum, ssum))
-        return float(minus.min())
-    if scan == "reduced":
-        return _min_eig_reduced(theta, dims)
-    raise ValueError(f"scan must be 'full' or 'reduced', got {scan!r}")
+def min_eig_perturbed(theta: Theta, dims) -> float:
+    """Minimum eigenvalue of the periodic precision, from the O(n1 + n2) hull modes."""
+    return float(min_eigs_batch(theta.as_array()[None, :], dims)[0])
 
 
-_N_ANCHORS = 16
-
-
-def _ternary_min(f, lo: int, hi: int, n: int) -> float:
-    """Discrete ternary search for a minimum of f over {lo..hi} mod n."""
-    while hi - lo > 3:
-        m1 = lo + (hi - lo) // 3
-        m2 = hi - (hi - lo) // 3
-        if float(f(np.array([m1 % n]))[0]) <= float(f(np.array([m2 % n]))[0]):
-            hi = m2
-        else:
-            lo = m1
-    return float(f(np.arange(lo, hi + 1) % n).min())
-
-
-def _min_eig_reduced(theta: Theta, dims: GridDims) -> float:
-    n1, n2 = dims.n1, dims.n2
-    cos_a, sin_a, cos_b, sin_b = _trig(n1, n2)
-    if n1 <= 2 * _N_ANCHORS:
-        anchors = np.arange(n1)
-    else:
-        anchors = (np.arange(_N_ANCHORS) * n1) // _N_ANCHORS
-    best = np.inf
-    for i in range(n2):
-        ca, sa = cos_a[i], sin_a[i]
-
-        def row(js, ca=ca, sa=sa):
-            csum = ca + cos_b[js]
-            ssum = sa + sin_b[js]
-            return _branches_from_parts(*_symbol_parts(theta, csum, ssum))[0]
-
-        avals = row(anchors)
-        row_min = float(avals.min())
-        if anchors.size < n1:
-            # refine the brackets around the three best anchors
-            for k in np.argsort(avals, kind="stable")[:3]:
-                lo = int(anchors[k - 1]) if k > 0 else int(anchors[-1]) - n1
-                hi = int(anchors[k + 1]) if k + 1 < anchors.size else int(anchors[0]) + n1
-                row_min = min(row_min, _ternary_min(row, lo, hi, n1))
-        best = min(best, row_min)
-    return best
-
-
-def min_eigs_batch(thetas: np.ndarray, dims, chunk: int = 64) -> np.ndarray:
-    """Vectorised full-scan minimum eigenvalues for a (B, 5) parameter array."""
-    dims = _as_dims(dims)
+def _as_thetas(thetas) -> np.ndarray:
     thetas = np.asarray(thetas, dtype=np.float64)
     if thetas.ndim != 2 or thetas.shape[1] != 5:
         raise ValueError("thetas must have shape (B, 5)")
-    cos_a, sin_a, cos_b, sin_b = _trig(dims.n1, dims.n2)
-    csum = (cos_a[:, None] + cos_b[None, :]).ravel()
-    ssum = (sin_a[:, None] + sin_b[None, :]).ravel()
-    out = np.empty(thetas.shape[0])
-    for lo in range(0, thetas.shape[0], chunk):
-        t = thetas[lo:lo + chunk]
-        phi, r11, r12, r21, r22 = (t[:, k][:, None] for k in range(5))
-        lam11 = 1.0 + (2.0 * r11) * csum
-        lam22 = 1.0 + (2.0 * r22) * csum
-        re12 = phi + (r12 + r21) * csum
-        im12 = (r21 - r12) * ssum
-        minus, _ = _branches_from_parts(lam11, lam22, re12, im12)
-        out[lo:lo + chunk] = minus.min(axis=1)
-    return out
+    return thetas
+
+
+def min_eigs_batch(thetas: np.ndarray, dims) -> np.ndarray:
+    """Periodic minimum eigenvalues for a (B, 5) parameter array, over the hull modes."""
+    dims = _as_dims(dims)
+    return lower_branch_min(_as_thetas(thetas), *_hull_modes(dims.n1, dims.n2))
 
 
 def exact_symmetric_spectrum(theta: Theta, dims) -> np.ndarray:
@@ -226,23 +247,16 @@ def exact_symmetric_spectrum(theta: Theta, dims) -> np.ndarray:
     dims = _as_dims(dims)
     if theta.rho12 != theta.rho21:
         raise ValueError("exact symmetric spectrum requires rho12 == rho21")
-    minus, plus = _symmetric_mode_branches(theta, _mode_sums(dims))
+    minus, plus = _branches(theta.as_array()[None, :], _sine_mode_sums(dims).ravel(), 0.0)
     return np.sort(np.concatenate([minus.ravel(), plus.ravel()]))
 
 
-def _mode_sums(dims: GridDims) -> np.ndarray:
+def _sine_mode_sums(dims: GridDims) -> np.ndarray:
+    """s/2 per sine mode: with rho12 == rho21 and ssum = 0, the periodic
+    symbol at csum = s/2 is exactly the sine mode's 2x2 block."""
     c1 = np.cos(np.pi * np.arange(1, dims.n1 + 1) / (dims.n1 + 1))
     c2 = np.cos(np.pi * np.arange(1, dims.n2 + 1) / (dims.n2 + 1))
-    return 2.0 * (c2[:, None] + c1[None, :])
-
-
-def _symmetric_mode_branches(theta: Theta, s):
-    a = 1.0 + theta.rho11 * s
-    d = 1.0 + theta.rho22 * s
-    b = theta.phi + theta.rho12 * s
-    root = np.sqrt((a - d) ** 2 + 4.0 * b * b)
-    half = 0.5 * (a + d)
-    return half - 0.5 * root, half + 0.5 * root
+    return c2[:, None] + c1[None, :]
 
 
 def exact_symmetric_min_eig(theta: Theta, dims) -> float:
@@ -255,10 +269,8 @@ def exact_symmetric_min_eig(theta: Theta, dims) -> float:
     dims = _as_dims(dims)
     if theta.rho12 != theta.rho21:
         raise ValueError("exact symmetric spectrum requires rho12 == rho21")
-    s_hi = 2.0 * (np.cos(np.pi / (dims.n1 + 1)) + np.cos(np.pi / (dims.n2 + 1)))
-    s = np.array([-s_hi, s_hi])
-    minus, _ = _symmetric_mode_branches(theta, s)
-    return float(minus.min())
+    hi = np.cos(np.pi / (dims.n1 + 1)) + np.cos(np.pi / (dims.n2 + 1))
+    return float(lower_branch_min(theta.as_array()[None, :], np.array([-hi, hi]), 0.0)[0])
 
 
 @dataclass(frozen=True)
@@ -266,49 +278,50 @@ class LimitConstant:
     """Minimum of the continuous symbol over the torus of angles."""
 
     value: float
-    argmin_angles: tuple   # (s, t) in [0, 2*pi)^2
-    tolerance: float
+    argmin_angles: tuple   # (s, t) in [0, pi]^2, here always s == t
 
 
-def limit_constant(theta: Theta, tol: float = 1e-10, coarse: int = 256) -> LimitConstant:
-    """Minimise the continuous lower-branch symbol over free angles.
+def _circle_modes(thetas: np.ndarray):
+    """(csum, ssum), each (B, 4), of the points 2*exp(i*psi) where C(theta) may sit.
 
-    Coarse grid search (coarse x coarse over [0, 2*pi)^2) followed by a
-    shrinking local grid refinement; the window shrinks until it is below
-    ``tol``, at which point the minimiser moves by less than ``tol`` per step.
-    The result lower-bounds the periodic minimum eigenvalue at every grid
-    size and is its large-grid limit.
+    c = cos(psi) is -1, 1 or a root in [-1, 1] of 4*k^2*Q = Q'^2, which with
+    Q = qa*c^2 + qb*c + qc and d = k^2 - qa reads
+    qa*d*c^2 + qb*d*c + (k^2*qc - qb^2/4) = 0; other roots become -1.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    if coarse < 4:
-        raise ValueError("coarse grid must be at least 4 points per axis")
+    phi, r11, r12, r21, r22 = thetas.T
+    k2 = (2.0 * (r11 + r22)) ** 2
+    qa = 4.0 * (r11 - r22) ** 2 + 16.0 * r12 * r21
+    qb = 4.0 * phi * (r12 + r21)
+    a2, a1 = qa * (k2 - qa), qb * (k2 - qa)
+    a0 = k2 * (phi * phi + 4.0 * (r21 - r12) ** 2) - 0.25 * qb * qb
+    # Cancellation-free roots q/a2 and a0/q; a2 == 0 leaves the linear root
+    # in a0/q.  A discriminant rounded below zero is a double root, and where
+    # it is truly negative the extra point is merely one more candidate.
+    with np.errstate(all="ignore"):
+        q = -0.5 * (a1 + np.copysign(np.sqrt(np.maximum(a1 * a1 - 4.0 * a2 * a0, 0.0)), a1))
+        c = np.stack([-np.ones_like(q), np.ones_like(q), q / a2, a0 / q], axis=1)
+    c[~(np.abs(c) <= 1.0)] = -1.0
+    return 2.0 * c, 2.0 * np.sqrt(1.0 - c * c)
 
-    def minus_on(ss, tt):
-        csum = np.cos(ss)[:, None] + np.cos(tt)[None, :]
-        ssum = np.sin(ss)[:, None] + np.sin(tt)[None, :]
-        return _branches_from_parts(*_symbol_parts(theta, csum, ssum))[0]
 
-    angles = 2.0 * np.pi * np.arange(coarse) / coarse
-    grid = minus_on(angles, angles)
-    flat = int(np.argmin(grid))
-    i, j = divmod(flat, coarse)
-    s0, t0 = float(angles[i]), float(angles[j])
-    value = float(grid[i, j])
+def limit_constants(thetas: np.ndarray) -> np.ndarray:
+    """C(theta) for each row of a (B, 5) parameter array, in closed form."""
+    thetas = _as_thetas(thetas)
+    return lower_branch_min(thetas, *_circle_modes(thetas))
 
-    h = 2.0 * np.pi / coarse
-    while h > tol:
-        offs = np.linspace(-h, h, 17)
-        local = minus_on(s0 + offs, t0 + offs)
-        flat = int(np.argmin(local))
-        di, dj = divmod(flat, 17)
-        s0 += float(offs[di])
-        t0 += float(offs[dj])
-        value = float(local[di, dj])
-        h /= 4.0
-    two_pi = 2.0 * np.pi
-    return LimitConstant(value=value, argmin_angles=(s0 % two_pi, t0 % two_pi),
-                         tolerance=tol)
+
+def limit_constant(theta: Theta) -> LimitConstant:
+    """C(theta), the minimum of the continuous lower-branch symbol, in closed form.
+
+    It lower-bounds the periodic minimum eigenvalue at every grid size, is
+    its large-grid limit, and equals ``limit_constants`` of the same theta.
+    """
+    row = theta.as_array()[None, :]
+    csum, ssum = _circle_modes(row)
+    lower = _branches(row, csum, ssum)[0][0]
+    best = int(np.argmin(lower))
+    psi = float(np.arccos(0.5 * csum[0, best]))
+    return LimitConstant(value=float(lower[best]), argmin_angles=(psi, psi))
 
 
 def transect_min_eig(rho: float, n: int, kind: str) -> float:

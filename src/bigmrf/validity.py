@@ -4,7 +4,8 @@ A parameter vector is valid at a given grid size when the (inner) precision
 matrix is strictly positive-definite.  Five methods are provided, from cheap
 and conservative to exact:
 
-* ``diag_dominance`` -- row-wise weak diagonal dominance; sufficient only.
+* ``diag_dominance`` -- row-wise strict diagonal dominance; sufficient only,
+                        so a non-positive margin is "unknown".
 * ``circulant``      -- positivity of the O(n) closed-form periodic spectrum;
                         asymptotically exact, no guarantee at finite n.
 * ``certified``      -- periodic spectrum on the doubled grid.  The periodic
@@ -111,11 +112,17 @@ def diag_dominance_margin(theta: Theta) -> float:
     On any grid with n1, n2 >= 3 the binding rows are the interior ones,
     whose absolute off-diagonal sum is 4|rho11| (or 4|rho22|) + |phi|
     + 2|rho12| + 2|rho21| against a unit diagonal; boundary rows only drop
-    terms.  The margin is therefore grid-independent, and nonnegative margin
-    implies the matrix is diagonally dominant at every grid size.
+    terms.  The margin is therefore grid-independent, and a positive margin
+    implies the matrix is strictly diagonally dominant at every grid size.
     """
-    shared = abs(theta.phi) + 2.0 * abs(theta.rho12) + 2.0 * abs(theta.rho21)
-    return 1.0 - (4.0 * max(abs(theta.rho11), abs(theta.rho22)) + shared)
+    return float(_dd_margins(theta.as_array()[None, :])[0])
+
+
+def _dd_margins(thetas: np.ndarray) -> np.ndarray:
+    """:func:`diag_dominance_margin` of each row of a (B, 5) parameter array."""
+    shared = (np.abs(thetas[:, 0]) + 2.0 * np.abs(thetas[:, 2])
+              + 2.0 * np.abs(thetas[:, 3]))
+    return 1.0 - (4.0 * np.maximum(np.abs(thetas[:, 1]), np.abs(thetas[:, 4])) + shared)
 
 
 def _row_margins(m) -> np.ndarray:
@@ -130,16 +137,18 @@ def _row_margins(m) -> np.ndarray:
 
 
 def diag_dominance_check(theta: Theta, dims) -> ValidityVerdict:
-    """Assemble the inner precision and test row-wise weak diagonal dominance.
+    """Assemble the inner precision and test row-wise strict diagonal dominance.
 
-    A nonnegative worst-row margin proves positive semi-definiteness; this is
-    sufficient and far from necessary.  The margin doubles as a Gershgorin
-    lower bound on the minimum eigenvalue.
+    The worst-row margin is a Gershgorin lower bound on the minimum
+    eigenvalue, so a positive margin proves positive definiteness.  Dominance
+    is sufficient and far from necessary: any other margin is "unknown"
+    (None), never "invalid".
     """
     dims = _as_dims(dims)
     t0 = time.perf_counter_ns()
     margin = float(_row_margins(build_inner_precision(theta, dims)).min())
-    return ValidityVerdict(method="diag_dominance", valid=margin >= 0.0,
+    return ValidityVerdict(method="diag_dominance",
+                           valid=True if margin > 0.0 else None,
                            min_eig_evidence=margin, dims=dims, theta=theta,
                            elapsed_ns=time.perf_counter_ns() - t0)
 
@@ -167,7 +176,11 @@ def certified_check(theta: Theta, dims) -> ValidityVerdict:
                            elapsed_ns=time.perf_counter_ns() - t0)
 
 
-def limit_check(theta: Theta, tol: float = 1e-8) -> ValidityVerdict:
+# Decision band of limit_check: |C(theta)| <= LIMIT_TOL is "unknown".
+LIMIT_TOL = 1e-8
+
+
+def limit_check(theta: Theta, tol: float = LIMIT_TOL) -> ValidityVerdict:
     """Grid-size-independent test via the continuous-symbol minimum.
 
     C(theta) > tol certifies validity for every grid size (the doubled-grid

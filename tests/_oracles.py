@@ -65,3 +65,34 @@ def complex_multisets_close(a, b, tol):
     cost = np.abs(a[:, None] - b[None, :])
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].max()) <= tol
+
+
+def torus_lower_branch(theta, s, t):
+    """Lower eigenvalue of the 2x2 symbol block at free angles (s[i], t[j])."""
+    csum = np.cos(s)[:, None] + np.cos(t)[None, :]
+    ssum = np.sin(s)[:, None] + np.sin(t)[None, :]
+    a = 1.0 + 2.0 * theta.rho11 * csum
+    d = 1.0 + 2.0 * theta.rho22 * csum
+    re = theta.phi + (theta.rho12 + theta.rho21) * csum
+    im = (theta.rho21 - theta.rho12) * ssum
+    return 0.5 * (a + d) - 0.5 * np.sqrt((a - d) ** 2 + 4.0 * (re * re + im * im))
+
+
+def torus_min_grid_search(theta, coarse=256, tol=1e-10):
+    """C(theta) by brute force: a coarse x coarse grid of angle pairs, then a
+    shrinking 17 x 17 local grid around the best point until its step is below
+    tol.  Returns (value, (s, t))."""
+    angles = 2.0 * np.pi * np.arange(coarse) / coarse
+    grid = torus_lower_branch(theta, angles, angles)
+    i, j = divmod(int(np.argmin(grid)), coarse)
+    s0, t0, value = float(angles[i]), float(angles[j]), float(grid[i, j])
+    h = 2.0 * np.pi / coarse
+    while h > tol:
+        offs = np.linspace(-h, h, 17)
+        local = torus_lower_branch(theta, s0 + offs, t0 + offs)
+        di, dj = divmod(int(np.argmin(local)), 17)
+        s0 += float(offs[di])
+        t0 += float(offs[dj])
+        value = float(local[di, dj])
+        h /= 4.0
+    return value, (s0 % (2.0 * np.pi), t0 % (2.0 * np.pi))

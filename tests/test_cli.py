@@ -45,6 +45,19 @@ class TestCheck:
             payload = json.loads(capsys.readouterr().out)
             jsonschema.validate(payload, VERDICT_SCHEMA)
 
+    def test_dd_zero_margin_exits_two(self, capsys):
+        # singular precision (margin exactly 0): not a proof of validity
+        assert main(_check_args("1", method="dd", n1="5", n2="5")) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["valid"] == "unknown" and payload["min_eig"] == 0.0
+
+    def test_dd_not_dominant_exits_two(self, capsys):
+        args = ["check", "--n1", "100", "--n2", "100", "--phi", "0.1",
+                "--rho11", "0.2", "--rho12", "0.05", "--rho21", "-0.05",
+                "--rho22", "0.2", "--method", "dd"]
+        assert main(args) == 2
+        assert json.loads(capsys.readouterr().out)["valid"] == "unknown"
+
     def test_bad_flag_exits_64(self, capsys):
         assert main(_check_args() + ["--frobnicate"]) == 64
         assert main(["check", "--n1", "10"]) == 64

@@ -63,6 +63,22 @@ class TestAcceptance:
         for row in picked:
             assert exact_check(Theta.from_array(row), (6, 7)).valid is True
 
+    def test_dd_rejects_zero_margin(self):
+        # theta = (1, 0, 0, 0, 0): margin exactly 0, singular precision
+        box = np.array([[1.0, 1.0]] + [[0.0, 0.0]] * 4)
+        batch = sample_valid((5, 5), 10, method="diag_dominance", seed=21, box=box)
+        assert (batch.min_eig == 0.0).all()
+        assert not batch.accepted.any()
+
+    def test_limit_verdicts_match_limit_check(self):
+        box = np.array([[-0.4, 0.4]] * 5)
+        batch = sample_valid((10, 10), 400, method="limit", seed=22, box=box)
+        assert 0 < batch.n_accepted < 400
+        for row, ok, ev in zip(batch.thetas, batch.accepted, batch.min_eig):
+            v = limit_check(Theta.from_array(row))
+            assert ok == (v.valid is True)
+            assert ev == v.min_eig_evidence
+
     def test_evidence_matches_min_eig(self):
         batch = sample_valid((9, 11), 300, seed=8)
         for idx in range(0, 300, 37):

@@ -9,14 +9,42 @@ from hypothesis import given, settings, strategies as st
 from bigmrf import (GridDims, Theta, build_bundle, build_circulant_block,
                     build_inner_precision, circulant_block_eigs,
                     exact_symmetric_min_eig, exact_symmetric_spectrum,
-                    lattice_min_eig, limit_constant, min_eig_perturbed,
-                    min_eigs_batch, perturbed_spectrum, spectral_grid,
-                    transect_min_eig, write_spectrum_csv, SPECTRUM_CSV_HEADER)
+                    lattice_min_eig, limit_constant, limit_constants,
+                    min_eig_perturbed, min_eigs_batch, perturbed_spectrum,
+                    spectral_grid, transect_min_eig, write_spectrum_csv,
+                    SPECTRUM_CSV_HEADER)
 
-from _oracles import complex_multisets_close, dense_toeplitz_block, rand_theta
+from _oracles import (complex_multisets_close, dense_toeplitz_block, rand_theta,
+                      torus_lower_branch, torus_min_grid_search)
 
 coupling = st.floats(-1.0, 1.0)
 thetas = st.builds(Theta, coupling, coupling, coupling, coupling, coupling)
+side = st.integers(3, 60)
+
+# Square, odd, coprime and n = 3 grids; the hull modes differ most between
+# them (on an n x n grid every change of nearest root is shared by both axes).
+HULL_GRIDS = [(3, 3), (3, 8), (4, 4), (5, 5), (8, 10), (9, 7), (12, 12),
+              (13, 17), (16, 9), (48, 40), (64, 64), (101, 100), (201, 150)]
+
+
+def _degenerate(u, kind):
+    """Put theta on a face where the symbol has extra symmetry."""
+    u = np.array(u, dtype=float)
+    if kind == 1:
+        u[3] = u[2]            # rho12 == rho21
+    elif kind == 2:
+        u[4] = u[1]            # rho11 == rho22
+    elif kind == 3:
+        u[4] = -u[1]           # rho11 == -rho22
+    elif kind == 4:
+        u[0] = 0.0             # phi == 0
+    elif kind == 5:
+        u[3], u[4] = u[2], -u[1]
+    return Theta.from_array(u)
+
+
+degenerate_thetas = st.builds(_degenerate, st.lists(coupling, min_size=5, max_size=5),
+                              st.integers(0, 5))
 
 
 class TestCirculantBlockEigs:
@@ -80,21 +108,19 @@ class TestMinEigPerturbed:
         assert min_eig_perturbed(Theta.zero(), (5, 5)) == 1.0
         assert min_eig_perturbed(Theta(0.5, 0, 0, 0, 0), (5, 5)) == pytest.approx(0.5)
 
-    def test_scan_modes_agree_small(self):
+    def test_hull_modes_equal_full_scan(self):
         rng = np.random.default_rng(2)
-        for _ in range(100):
-            theta = rand_theta(rng)
-            full = min_eig_perturbed(theta, (8, 10), scan="full")
-            red = min_eig_perturbed(theta, (8, 10), scan="reduced")
-            assert red == full, theta
+        for dims in HULL_GRIDS:
+            for k in range(60):
+                theta = _degenerate(rng.uniform(-1, 1, 5), k % 6)
+                assert (min_eig_perturbed(theta, dims)
+                        == perturbed_spectrum(theta, dims).min_eig), (theta, dims)
 
-    def test_scan_modes_agree_large(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            theta = rand_theta(rng)
-            full = min_eig_perturbed(theta, (48, 40), scan="full")
-            red = min_eig_perturbed(theta, (48, 40), scan="reduced")
-            assert red == full, theta
+    @given(theta=degenerate_thetas, n1=side, n2=side)
+    @settings(max_examples=300, deadline=None)
+    def test_hull_modes_equal_full_scan_property(self, theta, n1, n2):
+        assert (min_eig_perturbed(theta, (n1, n2))
+                == perturbed_spectrum(theta, (n1, n2)).min_eig)
 
     def test_agrees_with_spectrum_object(self):
         rng = np.random.default_rng(4)
@@ -102,10 +128,6 @@ class TestMinEigPerturbed:
             theta = rand_theta(rng)
             assert (min_eig_perturbed(theta, (8, 10))
                     == perturbed_spectrum(theta, (8, 10)).min_eig)
-
-    def test_rejects_unknown_scan(self):
-        with pytest.raises(ValueError):
-            min_eig_perturbed(Theta.zero(), (4, 4), scan="fast")
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(5)
@@ -182,9 +204,39 @@ class TestLimitConstant:
             assert all(g >= -1e-12 for g in gaps)
             assert all(gaps[k + 1] <= gaps[k] + 1e-12 for k in range(len(gaps) - 1))
 
-    def test_tol_validation(self):
-        with pytest.raises(ValueError):
-            limit_constant(Theta.zero(), tol=0.0)
+    def test_matches_torus_grid_search(self):
+        rng = np.random.default_rng(12)
+        for k in range(120):
+            theta = _degenerate(rng.uniform(-1, 1, 5), k % 6)
+            brute, _ = torus_min_grid_search(theta)
+            assert abs(limit_constant(theta).value - brute) <= 1e-12, theta
+
+    def test_argmin_angles_attain_value(self):
+        rng = np.random.default_rng(13)
+        for _ in range(30):
+            theta = rand_theta(rng)
+            c = limit_constant(theta)
+            s, t = c.argmin_angles
+            assert s == t
+            at = torus_lower_branch(theta, np.array([s]), np.array([t]))[0, 0]
+            assert abs(at - c.value) <= 1e-12
+
+    def test_batch_equals_scalar(self):
+        rng = np.random.default_rng(14)
+        rows = rng.uniform(-1, 1, (200, 5))
+        rows[::3, 3] = rows[::3, 2]
+        rows[1::3, 4] = -rows[1::3, 1]
+        batch = limit_constants(rows)
+        for row, c in zip(rows, batch):
+            assert c == limit_constant(Theta.from_array(row)).value
+
+    @given(theta=degenerate_thetas, n1=side, n2=side)
+    @settings(max_examples=200, deadline=None)
+    def test_below_periodic_minimum(self, theta, n1, n2):
+        # C is the minimum over the whole disk the grid's modes lie in; the
+        # allowance covers rounding where a mode sits on the minimising circle
+        scale = 1.0 + 4.0 * float(np.abs(theta.as_array()).sum())
+        assert limit_constant(theta).value <= min_eig_perturbed(theta, (n1, n2)) + 4e-16 * scale
 
 
 class TestTransect:

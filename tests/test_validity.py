@@ -29,6 +29,21 @@ class TestDiagDominance:
         v = diag_dominance_check(Theta.zero(), (5, 5))
         assert v.valid is True and v.min_eig_evidence == 1.0
 
+    def test_zero_margin_is_unknown(self):
+        # margin exactly 0 and a singular precision: dominance proves nothing
+        v = diag_dominance_check(Theta(1.0, 0, 0, 0, 0), (5, 5))
+        assert v.min_eig_evidence == 0.0
+        assert v.valid is None
+        assert _dense_min(Theta(1.0, 0, 0, 0, 0), (5, 5)) == pytest.approx(0.0, abs=1e-15)
+
+    def test_non_dominant_is_unknown_not_invalid(self):
+        # not dominant, yet the doubled-grid certificate proves it valid
+        theta = Theta(0.1, 0.2, 0.05, -0.05, 0.2)
+        v = diag_dominance_check(theta, (10, 10))
+        assert v.min_eig_evidence < 0.0
+        assert v.valid is None
+        assert certified_check(theta, (10, 10)).valid is True
+
     def test_closed_form_matches_assembled_margin(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
