@@ -6,14 +6,13 @@ is the quantity that matters for membership testing; its pattern depends on
 the parity of the grid sides and the sign of the coupling.
 """
 
-from bigmrf import (LanczosConfig, Theta, convergence_sweep, draw_limit_valid,
-                    fit_loglog, parity_patterns)
+from bigmrf import (Theta, convergence_sweep, draw_limit_valid, fit_loglog,
+                    parity_patterns)
 
-# a small sweep with the iterative oracle
+# a small sweep with the shift-invert Lanczos oracle
 thetas = draw_limit_valid(3, seed=5)
 grids = [(m, m) for m in range(16, 49, 4)]
-records = convergence_sweep(thetas, grids,
-                            oracle_cfg=LanczosConfig(conv_tol=1e-9))
+records = convergence_sweep(thetas, grids)
 print("log-log fits of delta against the grid area:")
 for idx, theta in enumerate(thetas):
     fit = fit_loglog([r for r in records if r.theta_idx == idx], "delta")

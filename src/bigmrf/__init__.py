@@ -4,17 +4,16 @@ The precision matrix of the field couples two variables on a regular n1 x n2
 lattice through five interaction parameters.  This package assembles that
 matrix sparsely, computes closed-form spectra of its periodic (toroidal)
 counterpart in O(n), certifies positive-definiteness rigorously through a
-doubled-grid argument, cross-checks everything against dense and Lanczos
-eigensolvers, and ships the sampling, convergence and timing studies built
-on top.
+doubled-grid argument, cross-checks everything against dense and
+shift-invert Lanczos eigensolvers, and ships the sampling, convergence and
+timing studies built on top.
 """
 
 from .core import (GridDims, PrecisionBundle, SparseSymMatrix, Tau, Theta,
                    build_bundle, build_circulant_block, build_inner_precision,
                    build_precision, build_toeplitz_block, write_matrix_market)
-from .oracle import (DENSE_DIM_CAP, EigResult, LanczosConfig,
-                     LanczosNonConvergence, dense_spectrum, gershgorin_upper,
-                     lanczos_extreme, matvec)
+from .oracle import (DENSE_DIM_CAP, EigResult, LanczosNonConvergence,
+                     dense_spectrum, lanczos_extreme)
 from .sampler import (BATCH_CSV_HEADER, CoverageResult, LowAcceptanceError,
                       SampleBatch, batch_circulant_valid,
                       dd_coverage_experiment, draw_conditioning_points,
@@ -41,8 +40,8 @@ __all__ = [
     "GridDims", "PrecisionBundle", "SparseSymMatrix", "Tau", "Theta",
     "build_bundle", "build_circulant_block", "build_inner_precision",
     "build_precision", "build_toeplitz_block", "write_matrix_market",
-    "DENSE_DIM_CAP", "EigResult", "LanczosConfig", "LanczosNonConvergence",
-    "dense_spectrum", "gershgorin_upper", "lanczos_extreme", "matvec",
+    "DENSE_DIM_CAP", "EigResult", "LanczosNonConvergence", "dense_spectrum",
+    "lanczos_extreme",
     "BATCH_CSV_HEADER", "CoverageResult", "LowAcceptanceError", "SampleBatch",
     "batch_circulant_valid", "dd_coverage_experiment",
     "draw_conditioning_points", "draw_limit_valid",

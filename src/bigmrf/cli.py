@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .core import GridDims, Theta
-from .oracle import LanczosConfig, LanczosNonConvergence
+from .oracle import LanczosNonConvergence
 from .sampler import (LowAcceptanceError, draw_limit_valid,
                       sample_conditional_slice, sample_valid)
 from .spectrum import write_spectrum_csv
@@ -106,9 +106,6 @@ def build_parser() -> _Parser:
                    help="positivity margin for the circulant method")
     p.add_argument("--tol", type=float, default=1e-8,
                    help="decision band for the limit method")
-    p.add_argument("--oracle-tol", type=float, default=1e-9)
-    p.add_argument("--oracle-max-iter", type=int, default=2000)
-    p.add_argument("--oracle-seed", type=int, default=LanczosConfig().seed)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("spectrum", help="per-mode eigenvalue table as CSV")
@@ -146,8 +143,6 @@ def build_parser() -> _Parser:
     p.add_argument("-N", "--n-thetas", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--oracle-tol", type=float, default=1e-9)
-    p.add_argument("--oracle-max-iter", type=int, default=2000)
     p.add_argument("-o", "--out-prefix", default="gmrf_study")
     p.add_argument("--svg", action="store_true",
                    help="also emit <prefix>_delta.svg")
@@ -185,9 +180,7 @@ def cmd_check(args) -> int:
     elif method == "limit":
         verdict = limit_check(theta, tol=args.tol)
     else:
-        cfg = LanczosConfig(max_iter=args.oracle_max_iter,
-                            conv_tol=args.oracle_tol, seed=args.oracle_seed)
-        verdict = exact_check(theta, dims, cfg=cfg)
+        verdict = exact_check(theta, dims)
     print(json.dumps(verdict.to_json_dict()))
     return {True: 0, False: 1, None: 2}[verdict.valid]
 
@@ -261,9 +254,7 @@ def _parse_grids(text: str):
 def cmd_study(args) -> int:
     grids = _parse_grids(args.grids)
     thetas = draw_limit_valid(args.n_thetas, args.seed)
-    cfg = LanczosConfig(conv_tol=args.oracle_tol, max_iter=args.oracle_max_iter)
-    records = convergence_sweep(thetas, grids, oracle_cfg=cfg,
-                                threads=_threads(args))
+    records = convergence_sweep(thetas, grids, threads=_threads(args))
 
     fits = []
     for idx in range(len(thetas)):

@@ -19,6 +19,7 @@ Three matrices are assembled here:
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -360,6 +361,17 @@ def build_bundle(theta: Theta, dims) -> PrecisionBundle:
     return PrecisionBundle(q=q, q_tilde=q_tilde, delta_q=delta_q, dims=dims, theta=theta)
 
 
+@contextmanager
+def _open_out(f):
+    """Yield a writable text stream: ``f`` itself, or the path ``f`` opened
+    for writing and closed on exit."""
+    if isinstance(f, str):
+        with open(f, "w") as out:
+            yield out
+    else:
+        yield f
+
+
 def write_matrix_market(m, f) -> None:
     """Dump a matrix in MatrixMarket coordinate format (1-based indices).
 
@@ -367,9 +379,7 @@ def write_matrix_market(m, f) -> None:
     lower triangle (the MatrixMarket convention); scipy sparse inputs are
     written as ``general``.
     """
-    own = isinstance(f, str)
-    out = open(f, "w") if own else f
-    try:
+    with _open_out(f) as out:
         if isinstance(m, SparseSymMatrix):
             out.write("%%MatrixMarket matrix coordinate real symmetric\n")
             out.write(f"{m.dim} {m.dim} {m.nnz_stored}\n")
@@ -381,6 +391,3 @@ def write_matrix_market(m, f) -> None:
             out.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
             for r, c, v in zip(coo.row, coo.col, coo.data):
                 out.write(f"{r + 1} {c + 1} {float(v)!r}\n")
-    finally:
-        if own:
-            out.close()

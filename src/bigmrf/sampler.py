@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Theta, _as_dims, GridDims
+from .core import GridDims, Theta, _as_dims, _open_out
 from .spectrum import _grid_modes, limit_constants, lower_branch_min, min_eigs_batch
 from .validity import LIMIT_TOL, _dd_margins, circulant_check, exact_check
 
@@ -84,10 +84,8 @@ class SampleBatch:
         return Theta.from_array(self.thetas[idx])
 
     def write_csv(self, f, include_rejected: bool = False) -> None:
-        own = isinstance(f, str)
-        out = open(f, "w") if own else f
         tri = {True: "true", False: "false"}
-        try:
+        with _open_out(f) as out:
             out.write(BATCH_CSV_HEADER + "\n")
             for idx in range(self.n_proposed):
                 if not (include_rejected or self.accepted[idx]):
@@ -97,9 +95,6 @@ class SampleBatch:
                           f"{tri[bool(self.accepted[idx])]},"
                           f"{tri[bool(self.dd_valid[idx])]},"
                           f"{float(self.min_eig[idx])!r}\n")
-        finally:
-            if own:
-                out.close()
 
 
 def _evaluate(thetas: np.ndarray, dims: GridDims, method: str):
@@ -132,7 +127,7 @@ def _run_chunks(dims, n_draws, method, seed, threads, proposer):
         rng = np.random.default_rng(children[c])
         thetas = proposer(rng, size)
         ok, ev = _evaluate(thetas, dims, method)
-        return thetas, ok, ev, _dd_margins(thetas) >= 0.0
+        return thetas, ok, ev, _dd_margins(thetas) > 0.0
 
     if threads is not None and threads < 1:
         raise ValueError("threads must be >= 1")
@@ -287,7 +282,7 @@ def dd_coverage_experiment(dims, n_valid: int, seed: int = 0,
         else:
             n_seen += chunk
         n_acc += hits.size
-        n_dd += int((_dd_margins(thetas[hits]) >= 0.0).sum())
+        n_dd += int((_dd_margins(thetas[hits]) > 0.0).sum())
         c += 1
     return CoverageResult(dims=dims, seed=seed, n_valid=n_acc, n_dd_valid=n_dd,
                           n_proposed=n_seen, ratio=n_dd / n_acc)

@@ -42,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import GridDims, Theta, _as_dims
+from .core import GridDims, Theta, _as_dims, _open_out
 
 __all__ = [
     "SpectralGrid",
@@ -380,9 +380,7 @@ def write_spectrum_csv(theta: Theta, dims, f) -> None:
     dims = _as_dims(dims)
     grid = spectral_grid(theta, dims)
     spec = perturbed_spectrum(theta, dims)
-    own = isinstance(f, str)
-    out = open(f, "w") if own else f
-    try:
+    with _open_out(f) as out:
         out.write(SPECTRUM_CSV_HEADER + "\n")
         for i in range(dims.n2):
             for j in range(dims.n1):
@@ -390,6 +388,3 @@ def write_spectrum_csv(theta: Theta, dims, f) -> None:
                          grid.lam12[i, j].real, grid.lam12[i, j].imag,
                          spec.minus[i, j], spec.plus[i, j])
                 out.write(f"{i},{j}," + ",".join(repr(float(v)) for v in cells) + "\n")
-    finally:
-        if own:
-            out.close()

@@ -21,8 +21,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import GridDims, Theta, _as_dims, build_inner_precision
-from .oracle import LanczosConfig, LanczosNonConvergence, lanczos_extreme
+from .core import GridDims, Theta, _as_dims, _open_out, build_inner_precision
+from .oracle import LanczosNonConvergence, lanczos_extreme
 from .sampler import DEFAULT_BOX
 from .spectrum import (exact_symmetric_min_eig, limit_constant, min_eig_perturbed,
                        min_eigs_batch)
@@ -85,21 +85,21 @@ class BenchRecord:
     ratio: float         # median(baseline) / median(fast) for this (dims, case)
 
 
-def _lam_q_oracle(theta: Theta, dims: GridDims, cfg: Optional[LanczosConfig]):
+def _lam_q_oracle(theta: Theta, dims: GridDims):
     """(lam_min(Q), converged); a failed run reports its best Ritz value."""
     q = build_inner_precision(theta, dims)
     try:
-        return lanczos_extreme(q, cfg, which="smallest").value, True
+        return lanczos_extreme(q, min_eig_perturbed(theta, dims.doubled())).value, True
     except LanczosNonConvergence as err:
         return float(err.best_value), False
 
 
-def convergence_sweep(thetas, grids, oracle_cfg: Optional[LanczosConfig] = None,
-                      lam_q_solver=None, threads: Optional[int] = 1) -> list:
+def convergence_sweep(thetas, grids, lam_q_solver=None,
+                      threads: Optional[int] = 1) -> list:
     """One record per (theta, grid), in canonical (theta, grid) order.
 
     ``lam_q_solver(theta, dims) -> float`` overrides the default oracle
-    (Lanczos with the given config); oracle non-convergence flags the record
+    (shift-invert Lanczos); oracle non-convergence flags the record
     instead of failing the sweep.  The (theta, grid) pairs are independent,
     so ``threads`` may fan them out; every pair's arithmetic is self-contained
     and the output order is fixed, making results scheduling-independent.
@@ -117,7 +117,7 @@ def convergence_sweep(thetas, grids, oracle_cfg: Optional[LanczosConfig] = None,
         if lam_q_solver is not None:
             lam_q, converged = float(lam_q_solver(theta, dims)), True
         else:
-            lam_q, converged = _lam_q_oracle(theta, dims, oracle_cfg)
+            lam_q, converged = _lam_q_oracle(theta, dims)
         c = limits[t_idx]
         return ConvergenceRecord(
             theta_idx=t_idx, theta=theta, dims=dims,
@@ -165,8 +165,7 @@ def fit_loglog(records, field: str = "delta") -> SlopeFit:
                     n_points=int(usable.sum()), n_excluded=n_excluded)
 
 
-def parity_patterns(theta: Theta, grids,
-                    oracle_cfg: Optional[LanczosConfig] = None) -> ParityStudy:
+def parity_patterns(theta: Theta, grids) -> ParityStudy:
     """Stratify the sweep by grid parity and trace sign changes of lam_qt - lam_q.
 
     For symmetric cross couplings (rho12 == rho21) the lattice minimum
@@ -177,8 +176,7 @@ def parity_patterns(theta: Theta, grids,
     solver = None
     if theta.rho12 == theta.rho21:
         solver = exact_symmetric_min_eig
-    records = convergence_sweep([theta], grids, oracle_cfg=oracle_cfg,
-                                lam_q_solver=solver)
+    records = convergence_sweep([theta], grids, lam_q_solver=solver)
     by_parity: dict = {}
     for rec in records:
         by_parity.setdefault(rec.parity, []).append(rec)
@@ -224,19 +222,17 @@ def _draw_classified(dims: GridDims, n_valid: int, n_invalid: int, seed: int,
 
 
 def bench_membership(dims_list, n_valid: int, n_invalid: int, seed: int = 0,
-                     reps: int = 20, baseline_reps: Optional[int] = None,
-                     oracle_cfg: Optional[LanczosConfig] = None) -> list:
+                     reps: int = 20, baseline_reps: Optional[int] = None) -> list:
     """Median wall times: closed-form membership check vs assemble-and-iterate.
 
     For valid parameters the fast path also assembles the matrix (a valid
     draw is kept, so the matrix is needed downstream anyway); for invalid
     ones it stops at the closed-form check.  The baseline always assembles
-    and then runs the iterative oracle (an iteration-capped run still counts;
-    that only understates the baseline cost).  Timings use the monotonic
-    clock, one discarded warm-up, and the median of ``reps`` repetitions;
-    ``baseline_reps`` may lower the repetition count for the multi-second
-    baseline runs, whose medians stabilise far sooner than the microsecond
-    fast path.
+    and then runs the iterative oracle, shift-invert Lanczos at the
+    doubled-grid lower bound.  Timings use the monotonic clock, one discarded
+    warm-up, and the median of ``reps`` repetitions; ``baseline_reps`` may
+    lower the repetition count for the slower baseline runs, whose medians
+    stabilise far sooner than the microsecond fast path.
     """
     if n_valid < 1 or n_invalid < 1:
         raise ValueError("need at least one valid and one invalid draw")
@@ -244,7 +240,6 @@ def bench_membership(dims_list, n_valid: int, n_invalid: int, seed: int = 0,
         raise ValueError("reps must be >= 1")
     if baseline_reps is None:
         baseline_reps = reps
-    cfg = oracle_cfg or LanczosConfig(conv_tol=1e-6, max_iter=400)
     out = []
     for dims in (_as_dims(d) for d in dims_list):
         valid, invalid = _draw_classified(dims, n_valid, n_invalid, seed)
@@ -258,11 +253,7 @@ def bench_membership(dims_list, n_valid: int, n_invalid: int, seed: int = 0,
 
             def baseline():
                 for theta in thetas:
-                    q = build_inner_precision(theta, dims)
-                    try:
-                        lanczos_extreme(q, cfg, which="smallest")
-                    except LanczosNonConvergence:
-                        pass
+                    _lam_q_oracle(theta, dims)
 
             fast_ns = _median_ns(fast, reps)
             base_ns = _median_ns(baseline, baseline_reps)
@@ -280,41 +271,26 @@ BENCH_CSV_HEADER = "n1,n2,case,method,median_ns,ratio"
 
 
 def write_study_csv(records, f) -> None:
-    own = isinstance(f, str)
-    out = open(f, "w") if own else f
-    try:
+    with _open_out(f) as out:
         out.write(STUDY_CSV_HEADER + "\n")
         for r in records:
             out.write(f"{r.theta_idx},{r.dims.n1},{r.dims.n2},"
                       f"{r.parity[0]},{r.parity[1]},{r.lam_q!r},{r.lam_qt!r},"
                       f"{r.c_theta!r},{r.eps!r},{r.delta!r}\n")
-    finally:
-        if own:
-            out.close()
 
 
 def write_fits_csv(fits, f) -> None:
     """``fits`` is an iterable of (theta_idx, field, SlopeFit)."""
-    own = isinstance(f, str)
-    out = open(f, "w") if own else f
-    try:
+    with _open_out(f) as out:
         out.write(FITS_CSV_HEADER + "\n")
         for theta_idx, field, fit in fits:
             out.write(f"{theta_idx},{field},{fit.slope!r},{fit.intercept!r},"
                       f"{fit.r_squared!r},{fit.n_points}\n")
-    finally:
-        if own:
-            out.close()
 
 
 def write_bench_csv(records, f) -> None:
-    own = isinstance(f, str)
-    out = open(f, "w") if own else f
-    try:
+    with _open_out(f) as out:
         out.write(BENCH_CSV_HEADER + "\n")
         for r in records:
             out.write(f"{r.dims.n1},{r.dims.n2},{r.case},{r.method},"
                       f"{r.median_ns},{r.ratio!r}\n")
-    finally:
-        if own:
-            out.close()

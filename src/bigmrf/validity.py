@@ -18,7 +18,8 @@ and conservative to exact:
                         positive means valid at every grid size, negative
                         means the periodic model fails on all large grids.
 * ``exact``          -- minimum eigenvalue of the assembled matrix (dense
-                        solver up to dimension 2000, Lanczos beyond).
+                        solver up to dimension 2000, shift-invert Lanczos
+                        at the doubled-grid bound beyond).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .core import GridDims, Theta, _as_dims, build_inner_precision
-from .oracle import DENSE_DIM_CAP, LanczosConfig, lanczos_extreme
+from .oracle import DENSE_DIM_CAP, lanczos_extreme
 from .spectrum import limit_constant, min_eig_perturbed
 
 __all__ = [
@@ -203,13 +204,13 @@ def limit_check(theta: Theta, tol: float = LIMIT_TOL) -> ValidityVerdict:
                            elapsed_ns=time.perf_counter_ns() - t0)
 
 
-def exact_check(theta: Theta, dims, tol: Optional[float] = None,
-                cfg: Optional[LanczosConfig] = None) -> ValidityVerdict:
+def exact_check(theta: Theta, dims, tol: Optional[float] = None) -> ValidityVerdict:
     """Ground truth: minimum eigenvalue of the assembled inner precision.
 
-    Dense solver for dimension 2n <= 2000, Lanczos beyond.  ``tol`` defaults
-    to 0 on the dense path and to 1e-10 * ||Q||_1 on the iterative one;
-    oracle non-convergence propagates as an error rather than a verdict.
+    Dense solver for dimension 2n <= 2000, shift-invert Lanczos beyond, shifted
+    just below the doubled-grid lower bound.  ``tol`` defaults to 0 on the
+    dense path and to 1e-10 * ||Q||_1 on the iterative one; oracle
+    non-convergence propagates as an error rather than a verdict.
     """
     dims = _as_dims(dims)
     t0 = time.perf_counter_ns()
@@ -219,7 +220,7 @@ def exact_check(theta: Theta, dims, tol: Optional[float] = None,
         if tol is None:
             tol = 0.0
     else:
-        ev = lanczos_extreme(q, cfg, which="smallest").value
+        ev = lanczos_extreme(q, min_eig_perturbed(theta, dims.doubled())).value
         if tol is None:
             tol = 1e-10 * q.norm1()
     return ValidityVerdict(method="exact", valid=ev > tol,

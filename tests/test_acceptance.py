@@ -11,15 +11,13 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from bigmrf import (GridDims, LanczosConfig, Theta, bench_membership,
-                    build_bundle, build_inner_precision, convergence_sweep,
+from bigmrf import (GridDims, Theta, bench_membership, build_bundle,
+                    build_inner_precision, convergence_sweep,
                     dd_coverage_experiment, diag_dominance_margin,
-                    draw_conditioning_points, draw_limit_valid,
-                    exact_symmetric_spectrum, fit_loglog, lanczos_extreme,
-                    lattice_min_eig, min_eig_perturbed, min_eigs_batch,
-                    perturbed_spectrum, sample_conditional_slice,
-                    transect_min_eig)
-from bigmrf.oracle import DENSE_DIM_CAP
+                    draw_conditioning_points, draw_limit_valid, exact_check,
+                    exact_symmetric_spectrum, fit_loglog, lattice_min_eig,
+                    min_eig_perturbed, min_eigs_batch, perturbed_spectrum,
+                    sample_conditional_slice, transect_min_eig)
 
 
 @contextmanager
@@ -44,11 +42,8 @@ def _dense_min(theta, dims):
     return float(np.linalg.eigvalsh(build_inner_precision(theta, dims).to_dense())[0])
 
 
-def _lam_q(theta, dims, cfg):
-    q = build_inner_precision(theta, dims)
-    if q.dim <= DENSE_DIM_CAP:
-        return float(np.linalg.eigvalsh(q.to_dense())[0])
-    return lanczos_extreme(q, cfg, which="smallest").value
+def _lam_q(theta, dims):
+    return exact_check(theta, dims).min_eig_evidence
 
 
 def test_criterion_01_spectral_exactness(capsys):
@@ -102,9 +97,8 @@ def test_criterion_04_no_false_positives(capsys):
 def test_criterion_05_limit_convergence(capsys):
     with _criterion(capsys, "5. |lattice - periodic| minimum gap < 1e-3 by 80x80"):
         thetas = draw_limit_valid(20, seed=20260809)
-        cfg = LanczosConfig(conv_tol=1e-9, max_iter=3000)
         for theta in thetas:
-            diffs = [abs(_lam_q(theta, dims, cfg) - min_eig_perturbed(theta, dims))
+            diffs = [abs(_lam_q(theta, dims) - min_eig_perturbed(theta, dims))
                      for dims in [(10, 10), (20, 20), (40, 40), (80, 80)]]
             assert diffs[-1] < 1e-3, (theta, diffs)
             assert diffs[-1] <= diffs[0] + 1e-8, (theta, diffs)
@@ -114,8 +108,7 @@ def test_criterion_06_delta_slope_study(capsys):
     with _criterion(capsys, "6. per-theta delta fits: R2 >= 0.99, slope in [-1.15,-0.85]"):
         thetas = draw_limit_valid(20, seed=20260809)
         grids = [(m, m) for m in range(20, 81, 2)]
-        cfg = LanczosConfig(conv_tol=1e-9, max_iter=3000)
-        records = convergence_sweep(thetas, grids, oracle_cfg=cfg)
+        records = convergence_sweep(thetas, grids)
         assert all(r.converged for r in records)
         slopes = []
         for idx in range(len(thetas)):

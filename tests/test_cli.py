@@ -5,7 +5,8 @@ import json
 import jsonschema
 import pytest
 
-from bigmrf import SPECTRUM_CSV_HEADER, VERDICT_SCHEMA
+import bigmrf.validity
+from bigmrf import LanczosNonConvergence, SPECTRUM_CSV_HEADER, VERDICT_SCHEMA
 from bigmrf.cli import main
 
 
@@ -66,13 +67,17 @@ class TestCheck:
     def test_bad_dims_exit_64(self, capsys):
         assert main(_check_args(n1="2")) == 64
 
-    def test_oracle_nonconvergence_exits_65(self, capsys):
+    def test_oracle_nonconvergence_exits_65(self, capsys, monkeypatch):
+        def fail(m, lower_bound):
+            raise LanczosNonConvergence(0.1, 1e-3, 3)
+
+        monkeypatch.setattr(bigmrf.validity, "lanczos_extreme", fail)
         # dims above the dense cap so the iterative oracle actually runs
         args = ["check", "--n1", "35", "--n2", "35", "--phi", "0.21",
                 "--rho11", "0.17", "--rho12", "-0.08", "--rho21", "0.14",
-                "--rho22", "0.11", "--method", "exact",
-                "--oracle-max-iter", "3", "--oracle-tol", "1e-14"]
+                "--rho22", "0.11", "--method", "exact"]
         assert main(args) == 65
+        assert "did not converge" in capsys.readouterr().err
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
@@ -154,7 +159,7 @@ class TestStudy:
     def test_small_run_writes_files(self, tmp_path, capsys):
         prefix = str(tmp_path / "st")
         args = ["study", "--grids", "12:24:6", "-N", "2", "--seed", "5",
-                "--oracle-tol", "1e-8", "-o", prefix, "--svg"]
+                "-o", prefix, "--svg"]
         assert main(args) == 0
         records = (tmp_path / "st_records.csv").read_text()
         fits = (tmp_path / "st_fits.csv").read_text()

@@ -18,6 +18,11 @@ coupling = st.floats(-1.0, 1.0)
 thetas = st.builds(Theta, coupling, coupling, coupling, coupling, coupling)
 
 
+def _identity(dim):
+    idx = np.arange(dim)
+    return SparseSymMatrix(dim, idx, idx, np.ones(dim))
+
+
 class TestDomainTypes:
     def test_theta_requires_finite(self):
         with pytest.raises(ValueError):
@@ -66,6 +71,32 @@ class TestSparseSymMatrix:
                             rng.normal(size=12))
         np.testing.assert_array_equal(m.to_dense(), m.to_csr().toarray())
         np.testing.assert_array_equal(m.to_dense(), m.to_dense().T)
+
+
+class TestMatvec:
+    def test_identity(self):
+        rng = np.random.default_rng(0)
+        v = rng.normal(size=7)
+        np.testing.assert_array_equal(_identity(7).matvec(v), v)
+
+    def test_zero_theta_precision(self):
+        rng = np.random.default_rng(1)
+        q = build_inner_precision(Theta.zero(), (3, 4))
+        v = rng.normal(size=q.dim)
+        np.testing.assert_array_equal(q.matvec(v), v)
+
+    def test_matches_dense_multiply(self):
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            theta = rand_theta(rng)
+            q = build_inner_precision(theta, (4, 5))
+            v = rng.normal(size=q.dim)
+            np.testing.assert_allclose(q.matvec(v), q.to_dense() @ v,
+                                       atol=1e-12)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            _identity(4).matvec(np.ones(5))
 
 
 class TestToeplitzBlock:

@@ -1,13 +1,15 @@
-"""Dense and Lanczos eigenvalue oracles."""
+"""Dense and shift-invert Lanczos eigenvalue oracles."""
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
-from bigmrf import (LanczosConfig, LanczosNonConvergence, SparseSymMatrix,
-                    Theta, build_bundle, build_circulant_block,
-                    build_inner_precision, build_toeplitz_block, dense_spectrum,
-                    gershgorin_upper, lanczos_extreme, matvec,
+from bigmrf import (GridDims, LanczosNonConvergence, SparseSymMatrix, Theta,
+                    build_bundle, build_circulant_block, build_inner_precision,
+                    build_toeplitz_block, dense_spectrum,
+                    exact_symmetric_min_eig, lanczos_extreme, limit_constant,
                     min_eig_perturbed)
+from bigmrf.oracle import DENSE_DIM_CAP
 
 from _oracles import rand_theta
 
@@ -17,115 +19,92 @@ def _identity(dim):
     return SparseSymMatrix(dim, idx, idx, np.ones(dim))
 
 
-class TestMatvec:
-    def test_identity(self):
-        rng = np.random.default_rng(0)
-        v = rng.normal(size=7)
-        np.testing.assert_array_equal(matvec(_identity(7), v), v)
-
-    def test_zero_theta_precision(self):
-        rng = np.random.default_rng(1)
-        q = build_inner_precision(Theta.zero(), (3, 4))
-        v = rng.normal(size=q.dim)
-        np.testing.assert_array_equal(matvec(q, v), v)
-
-    def test_matches_dense_multiply(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            theta = rand_theta(rng)
-            q = build_inner_precision(theta, (4, 5))
-            v = rng.normal(size=q.dim)
-            np.testing.assert_allclose(matvec(q, v), q.to_dense() @ v,
-                                       atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            matvec(_identity(4), np.ones(5))
-
-
-class TestGershgorin:
-    def test_identity(self):
-        assert gershgorin_upper(_identity(6)) == 1.0
-
-    def test_interior_dominated_grid(self):
-        rho = 0.3
-        q = build_inner_precision(Theta(0, rho, 0, 0, rho), (10, 10))
-        assert gershgorin_upper(q) == pytest.approx(1 + 4 * rho, abs=1e-15)
-
-    def test_upper_bounds_dense_lambda_max(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            theta = rand_theta(rng)
-            q = build_inner_precision(theta, (4, 4))
-            assert gershgorin_upper(q) >= np.linalg.eigvalsh(q.to_dense())[-1] - 1e-12
+def _doubled_bound(theta, dims):
+    return min_eig_perturbed(theta, GridDims(*dims).doubled())
 
 
 class TestLanczos:
-    def test_identity_converges_immediately(self):
-        res = lanczos_extreme(_identity(50), which="smallest")
-        assert res.value == pytest.approx(1.0, abs=1e-14)
-        assert res.iterations <= 2
-        assert res.residual <= 1e-9
-
     def test_matches_dense_min(self):
         rng = np.random.default_rng(4)
-        cfg = LanczosConfig(conv_tol=1e-10)
         for _ in range(50):
             theta = rand_theta(rng)
             q = build_inner_precision(theta, (6, 6))
-            res = lanczos_extreme(q, cfg, which="smallest")
+            res = lanczos_extreme(q, _doubled_bound(theta, (6, 6)))
             dense = np.linalg.eigvalsh(q.to_dense())[0]
-            assert res.value == pytest.approx(dense, abs=1e-8)
-            assert res.residual <= cfg.conv_tol
+            tol = 1e-12 * (1 + 4 * np.abs(theta.as_array()).sum())
+            assert abs(res.value - dense) <= tol, theta
+            assert res.residual <= tol
 
-    def test_matches_dense_max(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            theta = rand_theta(rng)
-            q = build_inner_precision(theta, (5, 5))
-            res = lanczos_extreme(q, which="largest")
-            dense = np.linalg.eigvalsh(q.to_dense())[-1]
-            assert res.value == pytest.approx(dense, abs=1e-8)
+    def test_matches_symmetric_closed_form_above_dense_cap(self):
+        # (0, .24, 0, 0, .24) at 40x40: the minimising eigenvector is odd in
+        # both directions, so the all-ones start vector is orthogonal to it
+        rng = np.random.default_rng(10)
+        cases = [(Theta(0.0, 0.24, 0.0, 0.0, 0.24), (40, 40))]
+        for dims in [(33, 32), (40, 30), (36, 45)]:
+            phi, r11, r12, r22 = rng.uniform(-0.3, 0.3, 4)
+            cases.append((Theta(phi, r11, r12, r12, r22), dims))
+        for theta, dims in cases:
+            q = build_inner_precision(theta, dims)
+            assert q.dim > DENSE_DIM_CAP
+            res = lanczos_extreme(q, _doubled_bound(theta, dims))
+            tol = 1e-12 * (1 + 4 * np.abs(theta.as_array()).sum())
+            assert abs(res.value - exact_symmetric_min_eig(theta, dims)) <= tol
 
     def test_matches_closed_form_on_periodic_matrix(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
             theta = rand_theta(rng)
             qt = build_bundle(theta, (12, 12)).q_tilde
-            res = lanczos_extreme(qt, which="smallest")
+            res = lanczos_extreme(qt, limit_constant(theta).value)
             assert res.value == pytest.approx(
                 min_eig_perturbed(theta, (12, 12)), abs=1e-8)
 
-    def test_deterministic_given_seed(self):
+    def test_deterministic(self):
         theta = Theta(0.3, 0.2, -0.1, 0.15, 0.25)
         q = build_inner_precision(theta, (8, 8))
-        cfg = LanczosConfig(seed=12345)
-        a = lanczos_extreme(q, cfg, which="smallest")
-        b = lanczos_extreme(q, cfg, which="smallest")
+        bound = _doubled_bound(theta, (8, 8))
+        a = lanczos_extreme(q, bound)
+        b = lanczos_extreme(q, bound)
         assert a.value == b.value
         assert a.iterations == b.iterations
         assert a.residual == b.residual
+        np.testing.assert_array_equal(a.vector, b.vector)
 
-    def test_nonconvergence_carries_best_ritz(self):
+    def test_nonconvergence_carries_best_ritz(self, monkeypatch):
+        def no_convergence(a, k, sigma, which, OPinv, v0):
+            OPinv.matvec(v0)
+            raise scipy.sparse.linalg.ArpackNoConvergence(
+                "forced", np.array([0.5]), v0[:, None] / np.linalg.norm(v0))
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
         theta = Theta(0.24, 0.21, -0.13, 0.18, 0.2)
         q = build_inner_precision(theta, (10, 10))
-        cfg = LanczosConfig(max_iter=3, conv_tol=1e-14)
         with pytest.raises(LanczosNonConvergence) as err:
-            lanczos_extreme(q, cfg, which="smallest")
-        assert err.value.iterations == 3
-        assert np.isfinite(err.value.best_value)
+            lanczos_extreme(q, _doubled_bound(theta, (10, 10)))
+        assert err.value.iterations == 1
+        assert err.value.best_value == 0.5
         assert err.value.residual > 0
+
+    def test_nonconvergence_without_ritz_pair(self, monkeypatch):
+        def no_convergence(a, k, sigma, which, OPinv, v0):
+            raise scipy.sparse.linalg.ArpackNoConvergence(
+                "forced", np.empty(0), np.empty((len(v0), 0)))
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        with pytest.raises(LanczosNonConvergence) as err:
+            lanczos_extreme(_identity(4), 1.0)
+        assert np.isnan(err.value.best_value)
 
     def test_rayleigh_quotient_optimality(self):
         rng = np.random.default_rng(7)
         theta = Theta(0.2, 0.18, 0.05, -0.1, 0.22)
         q = build_inner_precision(theta, (7, 7))
-        res = lanczos_extreme(q, which="smallest")
-        base = res.vector @ matvec(q, res.vector)
+        res = lanczos_extreme(q, _doubled_bound(theta, (7, 7)))
+        base = res.vector @ q.matvec(res.vector)
         for _ in range(50):
             w = rng.normal(size=q.dim)
             w /= np.linalg.norm(w)
-            assert w @ matvec(q, w) >= base - 1e-8
+            assert w @ q.matvec(w) >= base - 1e-8
 
     def test_quadratic_perturbation_bound(self):
         # |<dQ u, u>| <= 8 K (n1+n2)/(n1 n2) for the converged minimiser of
@@ -137,21 +116,16 @@ class TestLanczos:
                 bundle = build_bundle(theta, dims)
                 if bundle.delta_q.nnz_stored == 0:
                     continue
-                u = lanczos_extreme(bundle.q_tilde, which="smallest").vector
-                quad = abs(u @ matvec(bundle.delta_q, u))
+                u = lanczos_extreme(bundle.q_tilde,
+                                    limit_constant(theta).value).vector
+                quad = abs(u @ bundle.delta_q.matvec(u))
                 k_const = float(np.abs(bundle.delta_q.vals).max())
                 n1, n2 = bundle.dims.n1, bundle.dims.n2
                 assert quad <= 8 * k_const * (n1 + n2) / (n1 * n2)
 
     def test_dim_one_rejected(self):
         with pytest.raises(ValueError):
-            lanczos_extreme(_identity(1))
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            LanczosConfig(max_iter=0)
-        with pytest.raises(ValueError):
-            LanczosConfig(conv_tol=0.0)
+            lanczos_extreme(_identity(1), 1.0)
 
 
 class TestDenseSpectrum:

@@ -70,6 +70,13 @@ class TestAcceptance:
         assert (batch.min_eig == 0.0).all()
         assert not batch.accepted.any()
 
+    def test_dd_tag_excludes_zero_margin(self):
+        # a singular precision is not diagonally dominant
+        box = [[1, 1]] + [[0, 0]] * 4
+        batch = sample_valid((5, 5), 3, method="diag_dominance", box=box)
+        assert (batch.min_eig == 0.0).all()
+        assert not batch.dd_valid.any()
+
     def test_limit_verdicts_match_limit_check(self):
         box = np.array([[-0.4, 0.4]] * 5)
         batch = sample_valid((10, 10), 400, method="limit", seed=22, box=box)

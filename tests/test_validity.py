@@ -170,6 +170,24 @@ class TestExactCheck:
         assert v.min_eig_evidence == pytest.approx(
             exact_symmetric_min_eig(theta, (35, 35)), abs=1e-8)
 
+    def test_certified_valid_theta_at_200x200(self):
+        # the certificate proves this theta valid, so the iterative oracle
+        # must converge to a minimum at or above its bound
+        theta = Theta(0.5993852992281652, -0.044768439674377936,
+                      0.04759023615086311, -0.20536988014754387,
+                      -0.20091241524501013)
+        bound = certified_check(theta, (200, 200)).min_eig_evidence
+        v = exact_check(theta, (200, 200))
+        assert bound > 0.0
+        assert v.valid is True
+        assert v.min_eig_evidence >= bound
+        assert v.min_eig_evidence == pytest.approx(0.0810560158, abs=1e-10)
+
+    def test_dense_path_zero_margin_is_invalid(self):
+        v = exact_check(Theta(1.0, 0.0, 0.0, 0.0, 0.0), (5, 5))
+        assert v.min_eig_evidence == 0.0
+        assert v.valid is False
+
 
 class TestSoundnessChain:
     def test_lattice_is_principal_submatrix_of_doubled_periodic(self):
