@@ -102,10 +102,6 @@ def build_parser() -> _Parser:
     p.add_argument("--method", default="circulant",
                    choices=["dd", "diag_dominance", "circulant", "certified",
                             "limit", "exact"])
-    p.add_argument("--margin", type=float, default=0.0,
-                   help="positivity margin for the circulant method")
-    p.add_argument("--tol", type=float, default=1e-8,
-                   help="decision band for the limit method")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("spectrum", help="per-mode eigenvalue table as CSV")
@@ -174,11 +170,11 @@ def cmd_check(args) -> int:
     if method == "diag_dominance":
         verdict = diag_dominance_check(theta, dims)
     elif method == "circulant":
-        verdict = circulant_check(theta, dims, margin=args.margin)
+        verdict = circulant_check(theta, dims)
     elif method == "certified":
         verdict = certified_check(theta, dims)
     elif method == "limit":
-        verdict = limit_check(theta, tol=args.tol)
+        verdict = limit_check(theta)
     else:
         verdict = exact_check(theta, dims)
     print(json.dumps(verdict.to_json_dict()))

@@ -14,6 +14,12 @@ Three matrices are assembled here:
                 (toroidal boundary conditions on the lattice),
 * ``delta Q`` = ``Q~ - Q`` -- the boundary perturbation, supported on the
                 wrap positions only.
+
+All three come from one triplet path: ``_inner_triplets`` lists the upper
+triangle of the two diagonal blocks and the whole cross block, and
+``SparseSymMatrix`` sorts and merges those triplets once.  ``delta Q`` is
+Q~'s triplets followed by Q's with negated values; every entry the two share
+cancels exactly in that merge and is dropped.
 """
 
 from __future__ import annotations
@@ -135,7 +141,7 @@ class SparseSymMatrix:
 
     Exactly one triplet is stored per unordered index pair (``row <= col``),
     entries are sorted lexicographically and explicit zeros are dropped, so
-    nonzero counts are well defined and bit-exact assertions on the pattern
+    nonzero counts are well defined and bit-exact comparisons of the pattern
     are possible.
     """
 
@@ -179,12 +185,12 @@ class SparseSymMatrix:
         self._csr = None
 
     @classmethod
-    def from_scipy(cls, m, check_symmetry: bool = True) -> "SparseSymMatrix":
+    def from_scipy(cls, m) -> "SparseSymMatrix":
         """Fold a symmetric scipy sparse matrix into triplet storage."""
         m = m.tocsr()
         if m.shape[0] != m.shape[1]:
             raise ValueError("matrix must be square")
-        if check_symmetry and (m != m.T).nnz != 0:
+        if (m != m.T).nnz != 0:
             raise ValueError("matrix is not symmetric")
         coo = sp.triu(m, format="coo")
         return cls(m.shape[0], coo.row, coo.col, coo.data)
@@ -307,13 +313,25 @@ def build_circulant_block(x: float, y: float, z: float, dims) -> sp.csr_matrix:
     return _block(float(x), float(y), float(z), _as_dims(dims), wrap=True)
 
 
-def _inner_full(theta: Theta, dims: GridDims, wrap: bool,
-                scale11: float = 1.0, scale12: float = 1.0,
-                scale22: float = 1.0) -> sp.csr_matrix:
-    b11 = _block(theta.rho11 * scale11, 1.0 * scale11, theta.rho11 * scale11, dims, wrap)
-    b12 = _block(theta.rho21 * scale12, theta.phi * scale12, theta.rho12 * scale12, dims, wrap)
-    b22 = _block(theta.rho22 * scale22, 1.0 * scale22, theta.rho22 * scale22, dims, wrap)
-    return sp.bmat([[b11, b12], [b12.T, b22]], format="csr")
+def _inner_triplets(theta: Theta, dims: GridDims, wrap: bool):
+    """Upper-triangle triplets of the 2n x 2n inner precision (wrap=True: Q~).
+
+    The blocks [[T11, T12], [T12^T, T22]] are placed on or above the block
+    diagonal and only their entries with row <= col are kept: the upper
+    triangle of the symmetric diagonal blocks and all of the cross block.
+    """
+    n = dims.n
+    rows, cols, vals = [], [], []
+    for (x, y, z), dr, dc in (((theta.rho11, 1.0, theta.rho11), 0, 0),
+                              ((theta.rho21, theta.phi, theta.rho12), 0, n),
+                              ((theta.rho22, 1.0, theta.rho22), n, n)):
+        r, c, v = _block_triplets(x, y, z, dims, wrap)
+        r, c = r + dr, c + dc
+        upper = r <= c
+        rows.append(r[upper])
+        cols.append(c[upper])
+        vals.append(v[upper])
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
 def build_inner_precision(theta: Theta, dims) -> SparseSymMatrix:
@@ -324,18 +342,15 @@ def build_inner_precision(theta: Theta, dims) -> SparseSymMatrix:
     so all validity work operates on it.
     """
     dims = _as_dims(dims)
-    return SparseSymMatrix.from_scipy(_inner_full(theta, dims, wrap=False),
-                                      check_symmetry=False)
+    return SparseSymMatrix(2 * dims.n, *_inner_triplets(theta, dims, wrap=False))
 
 
 def build_precision(theta: Theta, tau: Tau, dims) -> SparseSymMatrix:
     """The full precision matrix, i.e. the inner matrix scaled by 1/tau per variable."""
     dims = _as_dims(dims)
-    s1 = 1.0 / tau.tau1
-    s2 = 1.0 / tau.tau2
-    full = _inner_full(theta, dims, wrap=False,
-                       scale11=s1 * s1, scale12=s1 * s2, scale22=s2 * s2)
-    return SparseSymMatrix.from_scipy(full, check_symmetry=False)
+    r, c, v = _inner_triplets(theta, dims, wrap=False)
+    s = np.repeat([1.0 / tau.tau1, 1.0 / tau.tau2], dims.n)
+    return SparseSymMatrix(2 * dims.n, r, c, v * (s[r] * s[c]))
 
 
 def build_bundle(theta: Theta, dims) -> PrecisionBundle:
@@ -345,19 +360,15 @@ def build_bundle(theta: Theta, dims) -> PrecisionBundle:
     diagnostics) and satisfies: at most 8(n1+n2) nonzeros, zero trace.
     """
     dims = _as_dims(dims)
-    q_full = _inner_full(theta, dims, wrap=False)
-    qt_full = _inner_full(theta, dims, wrap=True)
-    delta_full = (qt_full - q_full).tocsr()
-    delta_full.eliminate_zeros()
-
-    q = SparseSymMatrix.from_scipy(q_full, check_symmetry=False)
-    q_tilde = SparseSymMatrix.from_scipy(qt_full, check_symmetry=False)
-    delta_q = SparseSymMatrix.from_scipy(delta_full, check_symmetry=False)
-
-    n1, n2 = dims.n1, dims.n2
-    assert q.nnz <= 20 * n1 * n2 - 8 * n1 - 8 * n2
-    assert delta_q.nnz <= 8 * (n1 + n2)
-    assert delta_q.trace() == 0.0
+    dim = 2 * dims.n
+    rq, cq, vq = _inner_triplets(theta, dims, wrap=False)
+    rt, ct, vt = _inner_triplets(theta, dims, wrap=True)
+    q = SparseSymMatrix(dim, rq, cq, vq)
+    q_tilde = SparseSymMatrix(dim, rt, ct, vt)
+    # Q~ repeats every entry of Q with the same value (the wrap positions are
+    # disjoint from Q's for n1, n2 >= 3), so the merge cancels them exactly.
+    delta_q = SparseSymMatrix(dim, np.concatenate([rt, rq]), np.concatenate([ct, cq]),
+                              np.concatenate([vt, -vq]))
     return PrecisionBundle(q=q, q_tilde=q_tilde, delta_q=delta_q, dims=dims, theta=theta)
 
 

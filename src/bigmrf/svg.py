@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import _open_out
+
 __all__ = ["scatter_svg", "line_chart_svg"]
 
 _W, _H = 640, 480
@@ -61,7 +63,8 @@ def scatter_svg(groups, xlabel: str, ylabel: str, title: str, f) -> None:
             parts.append(f'<text x="{_W - _MARGIN - 4}" y="{_MARGIN + 14 + 14 * g_idx}" '
                          f'font-size="11" text-anchor="end" fill="{color}">{label}</text>')
     parts.append("</svg>\n")
-    _write(f, "\n".join(parts))
+    with _open_out(f) as out:
+        out.write("\n".join(parts))
 
 
 def line_chart_svg(series, xlabel: str, ylabel: str, title: str, f,
@@ -95,12 +98,6 @@ def line_chart_svg(series, xlabel: str, ylabel: str, title: str, f,
             parts.append(f'<text x="{_W - _MARGIN - 4}" y="{_MARGIN + 14 + 14 * s_idx}" '
                          f'font-size="11" text-anchor="end" fill="{color}">{label}</text>')
     parts.append("</svg>\n")
-    _write(f, "\n".join(parts))
+    with _open_out(f) as out:
+        out.write("\n".join(parts))
 
-
-def _write(f, text: str) -> None:
-    if isinstance(f, str):
-        with open(f, "w") as out:
-            out.write(text)
-    else:
-        f.write(text)

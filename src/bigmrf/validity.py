@@ -4,8 +4,9 @@ A parameter vector is valid at a given grid size when the (inner) precision
 matrix is strictly positive-definite.  Five methods are provided, from cheap
 and conservative to exact:
 
-* ``diag_dominance`` -- row-wise strict diagonal dominance; sufficient only,
-                        so a non-positive margin is "unknown".
+* ``diag_dominance`` -- strict diagonal dominance, closed form,
+                        grid-independent; sufficient only, so a
+                        non-positive margin is "unknown".
 * ``circulant``      -- positivity of the O(n) closed-form periodic spectrum;
                         asymptotically exact, no guarantee at finite n.
 * ``certified``      -- periodic spectrum on the doubled grid.  The periodic
@@ -126,42 +127,29 @@ def _dd_margins(thetas: np.ndarray) -> np.ndarray:
     return 1.0 - (4.0 * np.maximum(np.abs(thetas[:, 1]), np.abs(thetas[:, 4])) + shared)
 
 
-def _row_margins(m) -> np.ndarray:
-    diag = np.zeros(m.dim)
-    offsum = np.zeros(m.dim)
-    on = m.rows == m.cols
-    diag[m.rows[on]] = m.vals[on]
-    a = np.abs(m.vals[~on])
-    np.add.at(offsum, m.rows[~on], a)
-    np.add.at(offsum, m.cols[~on], a)
-    return np.abs(diag) - offsum
-
-
 def diag_dominance_check(theta: Theta, dims) -> ValidityVerdict:
-    """Assemble the inner precision and test row-wise strict diagonal dominance.
+    """Strict diagonal dominance of the inner precision, by its closed-form margin.
 
-    The worst-row margin is a Gershgorin lower bound on the minimum
-    eigenvalue, so a positive margin proves positive definiteness.  Dominance
-    is sufficient and far from necessary: any other margin is "unknown"
-    (None), never "invalid".
+    The worst-row margin (:func:`diag_dominance_margin`) is a Gershgorin
+    lower bound on the minimum eigenvalue, so a positive margin proves
+    positive definiteness.  Dominance is sufficient and far from necessary:
+    any other margin is "unknown" (None), never "invalid".
     """
     dims = _as_dims(dims)
     t0 = time.perf_counter_ns()
-    margin = float(_row_margins(build_inner_precision(theta, dims)).min())
+    margin = diag_dominance_margin(theta)
     return ValidityVerdict(method="diag_dominance",
                            valid=True if margin > 0.0 else None,
                            min_eig_evidence=margin, dims=dims, theta=theta,
                            elapsed_ns=time.perf_counter_ns() - t0)
 
 
-def circulant_check(theta: Theta, dims, margin: float = 0.0) -> ValidityVerdict:
+def circulant_check(theta: Theta, dims) -> ValidityVerdict:
     """Positivity of the closed-form periodic spectrum; O(n), no assembly."""
-    if margin < 0.0:
-        raise ValueError("margin must be >= 0")
     dims = _as_dims(dims)
     t0 = time.perf_counter_ns()
     ev = min_eig_perturbed(theta, dims)
-    return ValidityVerdict(method="circulant", valid=ev > margin,
+    return ValidityVerdict(method="circulant", valid=ev > 0.0,
                            min_eig_evidence=ev, dims=dims, theta=theta,
                            elapsed_ns=time.perf_counter_ns() - t0)
 
@@ -181,21 +169,19 @@ def certified_check(theta: Theta, dims) -> ValidityVerdict:
 LIMIT_TOL = 1e-8
 
 
-def limit_check(theta: Theta, tol: float = LIMIT_TOL) -> ValidityVerdict:
+def limit_check(theta: Theta) -> ValidityVerdict:
     """Grid-size-independent test via the continuous-symbol minimum.
 
-    C(theta) > tol certifies validity for every grid size (the doubled-grid
-    certificate holds uniformly); C(theta) < -tol means the periodic model
-    fails on all large grids ("asymptotically invalid", reported as False);
-    anything in between is unknown.
+    C(theta) > LIMIT_TOL certifies validity for every grid size (the
+    doubled-grid certificate holds uniformly); C(theta) < -LIMIT_TOL means the
+    periodic model fails on all large grids ("asymptotically invalid",
+    reported as False); anything in between is unknown.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
     t0 = time.perf_counter_ns()
     c = limit_constant(theta).value
-    if c > tol:
+    if c > LIMIT_TOL:
         valid: Optional[bool] = True
-    elif c < -tol:
+    elif c < -LIMIT_TOL:
         valid = False
     else:
         valid = None
@@ -204,12 +190,12 @@ def limit_check(theta: Theta, tol: float = LIMIT_TOL) -> ValidityVerdict:
                            elapsed_ns=time.perf_counter_ns() - t0)
 
 
-def exact_check(theta: Theta, dims, tol: Optional[float] = None) -> ValidityVerdict:
+def exact_check(theta: Theta, dims) -> ValidityVerdict:
     """Ground truth: minimum eigenvalue of the assembled inner precision.
 
     Dense solver for dimension 2n <= 2000, shift-invert Lanczos beyond, shifted
-    just below the doubled-grid lower bound.  ``tol`` defaults to 0 on the
-    dense path and to 1e-10 * ||Q||_1 on the iterative one; oracle
+    just below the doubled-grid lower bound.  The minimum must exceed 0 on the
+    dense path and 1e-10 * ||Q||_1 on the iterative one; oracle
     non-convergence propagates as an error rather than a verdict.
     """
     dims = _as_dims(dims)
@@ -217,12 +203,10 @@ def exact_check(theta: Theta, dims, tol: Optional[float] = None) -> ValidityVerd
     q = build_inner_precision(theta, dims)
     if q.dim <= DENSE_DIM_CAP:
         ev = float(np.linalg.eigvalsh(q.to_dense())[0])
-        if tol is None:
-            tol = 0.0
+        tol = 0.0
     else:
         ev = lanczos_extreme(q, min_eig_perturbed(theta, dims.doubled())).value
-        if tol is None:
-            tol = 1e-10 * q.norm1()
+        tol = 1e-10 * q.norm1()
     return ValidityVerdict(method="exact", valid=ev > tol,
                            min_eig_evidence=ev, dims=dims, theta=theta,
                            elapsed_ns=time.perf_counter_ns() - t0)

@@ -50,7 +50,13 @@ def dense_inner_precision(theta, n1, n2, wrap=False):
 def dense_precision(theta, tau, n1, n2):
     n = n1 * n2
     d = np.concatenate([np.full(n, 1.0 / tau.tau1), np.full(n, 1.0 / tau.tau2)])
-    return d[:, None] * dense_inner_precision(theta, n1, n2) * d[None, :]
+    return dense_inner_precision(theta, n1, n2) * np.outer(d, d)
+
+
+def row_margins(m):
+    """Diagonal-dominance margin |m_ii| - sum_{j != i} |m_ij| of each row."""
+    diag = np.abs(np.diag(m))
+    return diag - (np.abs(m).sum(axis=1) - diag)
 
 
 def rand_theta(rng, scale=1.0):

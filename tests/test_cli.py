@@ -64,6 +64,10 @@ class TestCheck:
         assert main(["check", "--n1", "10"]) == 64
         assert main(["frobnicate"]) == 64
 
+    def test_removed_margin_and_tol_flags_exit_64(self, capsys):
+        assert main(_check_args() + ["--margin", "0.1"]) == 64
+        assert main(_check_args(method="limit") + ["--tol", "1e-6"]) == 64
+
     def test_bad_dims_exit_64(self, capsys):
         assert main(_check_args(n1="2")) == 64
 
@@ -144,6 +148,13 @@ class TestSlice:
         assert "#1f77b4" in svg  # valid points drawn
         summary = capsys.readouterr().out
         assert "ratio" in summary
+
+    def test_unwritable_svg_exits_66(self, tmp_path, capsys):
+        args = ["slice", "--phi", "0", "--rho11", "0", "--rho22", "0",
+                "--n1", "8", "--n2", "8", "-N", "200", "--seed", "3",
+                "-o", str(tmp_path / "s.csv"), "--svg", "/nonexistent-dir/s.svg"]
+        assert main(args) == 66
+        assert "cannot write" in capsys.readouterr().err
 
     def test_seed_reproducible_counts(self, tmp_path, capsys):
         args = ["slice", "--phi", "0", "--rho11", "0", "--rho22", "0",

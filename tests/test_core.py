@@ -16,6 +16,8 @@ from _oracles import (dense_circulant_block, dense_inner_precision,
 
 coupling = st.floats(-1.0, 1.0)
 thetas = st.builds(Theta, coupling, coupling, coupling, coupling, coupling)
+side = st.integers(3, 12)
+taus = st.builds(Tau, st.floats(0.05, 20.0), st.floats(0.05, 20.0))
 
 
 def _identity(dim):
@@ -123,11 +125,11 @@ class TestToeplitzBlock:
         t = build_toeplitz_block(x, y, z, (5, 5)).toarray()
         assert t[12].sum() == pytest.approx(y + 2 * x + 2 * z, abs=1e-15)
 
-    @given(x=coupling, y=coupling, z=coupling)
+    @given(x=coupling, y=coupling, z=coupling, n1=side, n2=side)
     @settings(max_examples=40, deadline=None)
-    def test_matches_oracle(self, x, y, z):
-        t = build_toeplitz_block(x, y, z, (3, 4))
-        np.testing.assert_array_equal(t.toarray(), dense_toeplitz_block(x, y, z, 3, 4))
+    def test_matches_oracle(self, x, y, z, n1, n2):
+        t = build_toeplitz_block(x, y, z, (n1, n2))
+        np.testing.assert_array_equal(t.toarray(), dense_toeplitz_block(x, y, z, n1, n2))
 
 
 class TestCirculantBlock:
@@ -151,11 +153,11 @@ class TestCirculantBlock:
                     - dense_toeplitz_block(x, y, z, 4, 6))
         np.testing.assert_array_equal(diff.toarray(), expected)
 
-    @given(x=coupling, y=coupling, z=coupling)
+    @given(x=coupling, y=coupling, z=coupling, n1=side, n2=side)
     @settings(max_examples=40, deadline=None)
-    def test_matches_oracle(self, x, y, z):
-        c = build_circulant_block(x, y, z, (3, 4))
-        np.testing.assert_array_equal(c.toarray(), dense_circulant_block(x, y, z, 3, 4))
+    def test_matches_oracle(self, x, y, z, n1, n2):
+        c = build_circulant_block(x, y, z, (n1, n2))
+        np.testing.assert_array_equal(c.toarray(), dense_circulant_block(x, y, z, n1, n2))
 
 
 class TestPrecision:
@@ -194,19 +196,25 @@ class TestPrecision:
         n = 12
         np.testing.assert_array_equal(q[:n, :n], q[n:, n:])
 
-    @given(theta=thetas)
+    @given(theta=thetas, n1=side, n2=side)
     @settings(max_examples=40, deadline=None)
-    def test_exact_symmetry_and_oracle(self, theta):
-        q = build_inner_precision(theta, (4, 5))
+    def test_exact_symmetry_and_oracle(self, theta, n1, n2):
+        q = build_inner_precision(theta, (n1, n2))
         dense = q.to_dense()
         np.testing.assert_array_equal(dense, dense.T)
-        np.testing.assert_array_equal(dense, dense_inner_precision(theta, 4, 5))
+        np.testing.assert_array_equal(dense, dense_inner_precision(theta, n1, n2))
 
-    @given(theta=thetas)
+    @given(theta=thetas, tau=taus, n1=side, n2=side)
     @settings(max_examples=40, deadline=None)
-    def test_nnz_bound(self, theta):
-        q = build_inner_precision(theta, (4, 6))
-        assert q.nnz <= 20 * 24 - 8 * 4 - 8 * 6
+    def test_scaled_matches_oracle(self, theta, tau, n1, n2):
+        q = build_precision(theta, tau, (n1, n2))
+        np.testing.assert_array_equal(q.to_dense(), dense_precision(theta, tau, n1, n2))
+
+    @given(theta=thetas, n1=side, n2=side)
+    @settings(max_examples=40, deadline=None)
+    def test_nnz_bound(self, theta, n1, n2):
+        q = build_inner_precision(theta, (n1, n2))
+        assert q.nnz <= 20 * n1 * n2 - 8 * n1 - 8 * n2
 
     def test_sparsity_pattern_block_pentadiagonal(self):
         # every entry sits at offset {0, +-1, +-n1} within one of the 2x2
@@ -263,6 +271,19 @@ class TestBundle:
             b = build_bundle(theta, (4, 4))
             eigs = np.linalg.eigvalsh(b.delta_q.to_dense())
             assert eigs[0] < -1e-12 and eigs[-1] > 1e-12, theta
+
+    @given(theta=thetas, n1=side, n2=side)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_oracles_and_bounds(self, theta, n1, n2):
+        b = build_bundle(theta, (n1, n2))
+        q = dense_inner_precision(theta, n1, n2)
+        q_tilde = dense_inner_precision(theta, n1, n2, wrap=True)
+        np.testing.assert_array_equal(b.q.to_dense(), q)
+        np.testing.assert_array_equal(b.q_tilde.to_dense(), q_tilde)
+        np.testing.assert_array_equal(b.delta_q.to_dense(), q_tilde - q)
+        assert b.q.nnz <= 20 * n1 * n2 - 8 * n1 - 8 * n2
+        assert b.delta_q.nnz <= 8 * (n1 + n2)
+        assert b.delta_q.trace() == 0.0
 
     def test_q_tilde_matches_oracle(self):
         rng = np.random.default_rng(17)

@@ -12,7 +12,7 @@ from bigmrf import (GridDims, Tau, Theta, VERDICT_SCHEMA, build_bundle,
                     exact_check, exact_symmetric_min_eig, limit_check,
                     min_eig_perturbed)
 
-from _oracles import rand_theta
+from _oracles import dense_inner_precision, rand_theta, row_margins
 
 
 def _dense_min(theta, dims):
@@ -48,9 +48,18 @@ class TestDiagDominance:
         rng = np.random.default_rng(0)
         for _ in range(50):
             theta = rand_theta(rng)
-            v = diag_dominance_check(theta, (5, 6))
-            assert diag_dominance_margin(theta) == pytest.approx(
-                v.min_eig_evidence, abs=1e-14)
+            assembled = row_margins(dense_inner_precision(theta, 5, 6)).min()
+            assert diag_dominance_margin(theta) == pytest.approx(assembled, abs=1e-14)
+
+    def test_evidence_is_the_closed_form(self):
+        # the check, the sampler method and the dd_valid tags share one margin
+        rng = np.random.default_rng(4)
+        for dims in [(3, 3), (5, 6), (40, 17)]:
+            for _ in range(50):
+                theta = rand_theta(rng, scale=0.3)
+                v = diag_dominance_check(theta, dims)
+                assert v.min_eig_evidence == diag_dominance_margin(theta)
+                assert v.valid is (True if v.min_eig_evidence > 0.0 else None)
 
     def test_implies_exact_validity(self):
         # sufficient condition: dominant rows => semi-positive-definite.
@@ -77,10 +86,6 @@ class TestCirculantCheck:
         v = circulant_check(Theta(0, 0.3, 0, 0, 0.3), (10, 10))
         assert v.valid is False
         assert v.min_eig_evidence == pytest.approx(1 - 1.2, abs=1e-12)
-
-    def test_margin_validation(self):
-        with pytest.raises(ValueError):
-            circulant_check(Theta.zero(), (5, 5), margin=-0.1)
 
 
 class TestCertifiedCheck:
@@ -137,10 +142,6 @@ class TestLimitCheck:
             found += 1
             for dims in [(5, 5), (8, 13), (20, 20)]:
                 assert exact_check(theta, dims).valid is True, (theta, dims)
-
-    def test_tol_validation(self):
-        with pytest.raises(ValueError):
-            limit_check(Theta.zero(), tol=0.0)
 
 
 class TestExactCheck:
