@@ -383,6 +383,20 @@ def _open_out(f):
         yield f
 
 
+_TRI = np.array(["false", "true"])
+
+
+def _write_rows(out, fmt: str, rows: np.ndarray, columns) -> None:
+    """Write ``fmt % row`` for the given row indices of 1-D columns (booleans
+    as true/false), 1024 rows at a time: one ``tolist`` per column and one
+    write per block, so the block's Python lists stay small."""
+    for lo in range(0, rows.size, 1024):
+        block = rows[lo:lo + 1024]
+        cells = [(_TRI[c[block].view(np.uint8)] if c.dtype == bool else c[block]).tolist()
+                 for c in columns]
+        out.write("".join([fmt % row for row in zip(*cells)]))
+
+
 def write_matrix_market(m, f) -> None:
     """Dump a matrix in MatrixMarket coordinate format (1-based indices).
 

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import GridDims, Theta, _as_dims, _open_out
+from .core import GridDims, Theta, _as_dims, _open_out, _write_rows
 from .spectrum import _grid_modes, limit_constants, lower_branch_min, min_eigs_batch
 from .validity import LIMIT_TOL, _dd_margins, circulant_check, exact_check
 
@@ -84,17 +84,13 @@ class SampleBatch:
         return Theta.from_array(self.thetas[idx])
 
     def write_csv(self, f, include_rejected: bool = False) -> None:
-        tri = {True: "true", False: "false"}
+        rows = (np.arange(self.n_proposed) if include_rejected
+                else np.flatnonzero(self.accepted))
         with _open_out(f) as out:
             out.write(BATCH_CSV_HEADER + "\n")
-            for idx in range(self.n_proposed):
-                if not (include_rejected or self.accepted[idx]):
-                    continue
-                coords = ",".join(repr(float(v)) for v in self.thetas[idx])
-                out.write(f"{idx},{coords},"
-                          f"{tri[bool(self.accepted[idx])]},"
-                          f"{tri[bool(self.dd_valid[idx])]},"
-                          f"{float(self.min_eig[idx])!r}\n")
+            _write_rows(out, "%d,%r,%r,%r,%r,%r,%s,%s,%r\n", rows,
+                        [np.arange(self.n_proposed), *self.thetas.T,
+                         self.accepted, self.dd_valid, self.min_eig])
 
 
 def _evaluate(thetas: np.ndarray, dims: GridDims, method: str):

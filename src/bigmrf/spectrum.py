@@ -8,23 +8,25 @@ b = 2*pi*j/n1:
               = y + (x + z)*(cos a + cos b) + 1j*(x - z)*(sin a + sin b).
 
 Stacking the two variables gives, per Fourier mode, a 2x2 Hermitian block
-whose eigenvalues are
+whose eigenvalues, 0.5*(lam11 + lam22) -/+ sqrt(((lam11 - lam22)/2)^2 +
+|lam12|^2), are center -/+ root at the mode's point (csum, ssum) = (cos a +
+cos b, sin a + sin b): center = 1 + (rho11 + rho22)*csum and root =
+|((rho11 - rho22)*csum, phi + (rho12 + rho21)*csum, (rho21 - rho12)*ssum)|.
+So the whole 2n-point spectrum costs O(n).
 
-    0.5 * (lam11 + lam22 +/- sqrt((lam11 - lam22)^2 + 4*|lam12|^2)),
-
-so the whole 2n-point spectrum costs O(n).
-
-The minimum costs O(n1 + n2).  The lower branch is half the trace, affine in
-the mode's point (csum, ssum) = (cos a + cos b, sin a + sin b), minus the
-norm of an affine map of it, so it is concave in that point and its minimum
-over the grid's n points sits on the boundary of their convex hull
+The minimum costs O(n1 + n2).  The lower branch, center - root, is affine
+minus the norm of an affine map, so it is concave in (csum, ssum) and its
+minimum over the grid's n points sits on the boundary of their convex hull
 (Rockafellar, Convex Analysis, 1970, section 32).  The boundary mode extreme
 in direction psi pairs the a and the b nearest to psi.  As psi turns once,
 the nearest a changes n2 times and the nearest b n1 times; each arc between
 changes gives one mode, and where both change at once the two cross pairs on
-that hull edge are kept too.  That is n1 + n2 modes for most grids (351 of
-30,150 at 201x150) and 3n of n^2 on an n x n grid, and the minimum over them
-is the same float as over all n.
+that hull edge are kept too: n1 + n2 modes for most grids and 3n on an n x n
+grid.  The cos and sin tables are computed up to pi and mirrored past it, so
+the mode (-i, -j) has the same csum and exactly -ssum, and the lower branch
+sees ssum only through its square.  The boundary is mirror-symmetric, so only
+its modes with ssum >= 0 are evaluated: 176 of 30,150 at 201x150, 151 of
+10,000 at 100x100, and the minimum over them is the same float as over all n.
 
 Free angles fill the disk |csum + i*ssum| <= 2, so the continuous-symbol
 minimum C(theta), which lower-bounds the minimum eigenvalue at every grid
@@ -42,7 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import GridDims, Theta, _as_dims, _open_out
+from .core import GridDims, Theta, _as_dims, _open_out, _write_rows
 
 __all__ = [
     "SpectralGrid",
@@ -65,11 +67,17 @@ __all__ = [
 ]
 
 
+def _axis_trig(m: int):
+    """cos and sin of 2*pi*k/m, computed for k <= m/2 and mirrored past it, so
+    entry (m - k) % m holds cos[k] and -sin[k] bit for bit (sin is 0 at k = m/2)."""
+    k = np.arange(m)
+    angle = 2.0 * np.pi * np.minimum(k, m - k) / m
+    return np.cos(angle), np.sign(m - 2 * k) * np.sin(angle)
+
+
 @lru_cache(maxsize=128)
 def _trig(n1: int, n2: int):
-    a = 2.0 * np.pi * np.arange(n2) / n2
-    b = 2.0 * np.pi * np.arange(n1) / n1
-    arrs = (np.cos(a), np.sin(a), np.cos(b), np.sin(b))
+    arrs = (*_axis_trig(n2), *_axis_trig(n1))
     for arr in arrs:
         arr.flags.writeable = False
     return arrs
@@ -83,12 +91,14 @@ def _grid_modes(n1: int, n2: int, ii, jj):
 
 @lru_cache(maxsize=128)
 def _hull_modes(n1: int, n2: int):
-    """(csum, ssum) of the modes on the boundary of the grid's convex hull.
+    """(csum, ssum) of the modes on the boundary of the grid's convex hull
+    with ssum >= 0.
 
     Integer arithmetic on one turn of 2*n1*n2 units: a_i sits at 2*n1*i and
     b_j at 2*n2*j, so the nearest a changes at (2i+1)*n1 and the nearest b at
     (2j+1)*n2.  Each arc starting at a change gives one (i, j); a change of
-    both adds the cross pairs of the arcs before and after it.
+    both adds the cross pairs of the arcs before and after it.  The mirror
+    (-i, -j) of a boundary mode is one too, with the same lower branch.
     """
     a_breaks = (2 * np.arange(n2) + 1) * n1
     b_breaks = (2 * np.arange(n1) + 1) * n2
@@ -97,39 +107,30 @@ def _hull_modes(n1: int, n2: int):
     jj = ((starts + n2) // (2 * n2)) % n1
     both = np.isin(starts, a_breaks) & np.isin(starts, b_breaks)
     ii_before, jj_before = np.roll(ii, 1), np.roll(jj, 1)
-    modes = _grid_modes(n1, n2,
-                        np.concatenate([ii, ii[both], ii_before[both]]),
-                        np.concatenate([jj, jj_before[both], jj[both]]))
+    csum, ssum = _grid_modes(n1, n2,
+                             np.concatenate([ii, ii[both], ii_before[both]]),
+                             np.concatenate([jj, jj_before[both], jj[both]]))
+    keep = ssum >= 0.0
+    modes = csum[keep], ssum[keep]
     for arr in modes:
         arr.flags.writeable = False
     return modes
 
 
-def _symbol_parts(thetas: np.ndarray, csum, ssum):
-    """lam11, lam22, Re and Im lam12, (B, M), of (B, 5) thetas at modes (M,) or (B, M)."""
+def _center_root(thetas: np.ndarray, csum, ssum):
+    """(B, M) center and root of the 2x2 blocks of (B, 5) thetas at modes (M,)
+    or (B, M); the blocks' eigenvalues are center -/+ root."""
     phi, r11, r12, r21, r22 = (thetas[:, k, None] for k in range(5))
-    lam11 = 1.0 + (2.0 * r11) * csum
-    lam22 = 1.0 + (2.0 * r22) * csum
-    re12 = phi + (r12 + r21) * csum
-    im12 = (r21 - r12) * ssum
-    return lam11, lam22, re12, im12
+    root = np.square((r11 - r22) * csum)
+    root += np.square(phi + (r12 + r21) * csum)
+    root += np.square((r21 - r12) * ssum)
+    return 1.0 + (r11 + r22) * csum, np.sqrt(root, out=root)
 
 
 def _branches(thetas: np.ndarray, csum, ssum):
-    """Lower and upper eigenvalues of the 2x2 blocks, in place on the parts' buffers."""
-    half, lam22, re12, im12 = _symbol_parts(thetas, csum, ssum)
-    root = half - lam22
-    root *= root
-    re12 *= re12
-    im12 *= im12
-    re12 += im12
-    re12 *= 4.0
-    root += re12
-    np.sqrt(root, out=root)
-    root *= 0.5
-    half += lam22
-    half *= 0.5
-    return half - root, half + root
+    """Lower and upper eigenvalues of the 2x2 blocks."""
+    center, root = _center_root(thetas, csum, ssum)
+    return center - root, center + root
 
 
 # (theta, mode) values per block of lower_branch_min.  8192 keeps each
@@ -142,14 +143,17 @@ def lower_branch_min(thetas: np.ndarray, csum, ssum) -> np.ndarray:
     """Lower-branch minimum of each (B, 5) theta row over the modes (csum, ssum).
 
     The one symbol kernel: the periodic minima, the certificate, the sampler's
-    screen and C(theta) all evaluate the lower branch through it.
+    screen and C(theta) all evaluate the lower branch, center - root, through
+    it, in blocks of rows and without forming the upper branch.
     """
     out = np.empty(thetas.shape[0])
     rows = max(1, _BLOCK // np.shape(csum)[-1])
     for lo in range(0, thetas.shape[0], rows):
         sl = slice(lo, lo + rows)
         c, s = (csum, ssum) if np.ndim(csum) == 1 else (csum[sl], ssum[sl])
-        out[sl] = _branches(thetas[sl], c, s)[0].min(axis=1)
+        center, root = _center_root(thetas[sl], c, s)
+        center -= root
+        out[sl] = center.min(axis=1)
     return out
 
 
@@ -183,10 +187,11 @@ class SpectralGrid:
 
 def spectral_grid(theta: Theta, dims) -> SpectralGrid:
     dims = _as_dims(dims)
-    shape = (dims.n2, dims.n1)
-    lam11, lam22, re12, im12 = (p.reshape(shape) for p in _symbol_parts(
-        theta.as_array()[None, :], *_full_grid(dims)))
-    return SpectralGrid(dims=dims, lam11=lam11, lam22=lam22, lam12=re12 + 1j * im12)
+    csum, ssum = (m.reshape(dims.n2, dims.n1) for m in _full_grid(dims))
+    return SpectralGrid(dims=dims, lam11=1.0 + (2.0 * theta.rho11) * csum,
+                        lam22=1.0 + (2.0 * theta.rho22) * csum,
+                        lam12=((theta.phi + (theta.rho12 + theta.rho21) * csum)
+                               + 1j * ((theta.rho21 - theta.rho12) * ssum)))
 
 
 @dataclass(frozen=True)
@@ -380,11 +385,10 @@ def write_spectrum_csv(theta: Theta, dims, f) -> None:
     dims = _as_dims(dims)
     grid = spectral_grid(theta, dims)
     spec = perturbed_spectrum(theta, dims)
+    rows = np.arange(dims.n)
     with _open_out(f) as out:
         out.write(SPECTRUM_CSV_HEADER + "\n")
-        for i in range(dims.n2):
-            for j in range(dims.n1):
-                cells = (grid.lam11[i, j], grid.lam22[i, j],
-                         grid.lam12[i, j].real, grid.lam12[i, j].imag,
-                         spec.minus[i, j], spec.plus[i, j])
-                out.write(f"{i},{j}," + ",".join(repr(float(v)) for v in cells) + "\n")
+        _write_rows(out, "%d,%d,%r,%r,%r,%r,%r,%r\n", rows,
+                    [rows // dims.n1, rows % dims.n1, grid.lam11.ravel(), grid.lam22.ravel(),
+                     grid.lam12.real.ravel(), grid.lam12.imag.ravel(),
+                     spec.minus.ravel(), spec.plus.ravel()])

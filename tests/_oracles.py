@@ -2,13 +2,16 @@
 
 Everything here builds matrices entry-by-entry with explicit index
 arithmetic, deliberately sharing no code with the package's sparse
-assembly path.
+assembly path.  The CSV writers at the end format one cell at a time, as
+the reference for the package's columnar writers.
 """
+
+import io
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from bigmrf import Theta
+from bigmrf import BATCH_CSV_HEADER, SPECTRUM_CSV_HEADER, Theta
 
 
 def dense_toeplitz_block(x, y, z, n1, n2):
@@ -102,3 +105,34 @@ def torus_min_grid_search(theta, coarse=256, tol=1e-10):
         value = float(local[di, dj])
         h /= 4.0
     return value, (s0 % (2.0 * np.pi), t0 % (2.0 * np.pi))
+
+
+def batch_csv_per_cell(batch, include_rejected):
+    """The sampler's CSV of a SampleBatch, one row and one cell at a time."""
+    tri = {True: "true", False: "false"}
+    out = io.StringIO()
+    out.write(BATCH_CSV_HEADER + "\n")
+    for idx in range(batch.n_proposed):
+        if not (include_rejected or batch.accepted[idx]):
+            continue
+        coords = ",".join(repr(float(v)) for v in batch.thetas[idx])
+        out.write(f"{idx},{coords},"
+                  f"{tri[bool(batch.accepted[idx])]},"
+                  f"{tri[bool(batch.dd_valid[idx])]},"
+                  f"{float(batch.min_eig[idx])!r}\n")
+    return out.getvalue()
+
+
+def spectrum_csv_per_cell(grid, spec):
+    """The per-mode eigenvalue CSV of a SpectralGrid and a PerturbedSpectrum,
+    one row and one cell at a time, row-major in (i, j)."""
+    out = io.StringIO()
+    out.write(SPECTRUM_CSV_HEADER + "\n")
+    n2, n1 = grid.lam11.shape
+    for i in range(n2):
+        for j in range(n1):
+            cells = (grid.lam11[i, j], grid.lam22[i, j],
+                     grid.lam12[i, j].real, grid.lam12[i, j].imag,
+                     spec.minus[i, j], spec.plus[i, j])
+            out.write(f"{i},{j}," + ",".join(repr(float(v)) for v in cells) + "\n")
+    return out.getvalue()

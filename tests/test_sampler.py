@@ -11,6 +11,8 @@ from bigmrf import (BATCH_CSV_HEADER, LowAcceptanceError, Theta,
                     draw_limit_valid, exact_check, limit_check, min_eig_perturbed,
                     min_eigs_batch, sample_conditional_slice, sample_valid)
 
+from _oracles import batch_csv_per_cell
+
 
 class TestReproducibility:
     def test_same_seed_same_batch(self):
@@ -177,6 +179,29 @@ class TestConditionalSlice:
         buf2 = io.StringIO()
         batch.write_csv(buf2)  # accepted rows only
         assert len(buf2.getvalue().strip().split("\n")) == 1 + batch.n_accepted
+
+
+class TestCsvBytes:
+    @staticmethod
+    def _assert_matches_per_cell(batch):
+        for include_rejected in (True, False):
+            buf = io.StringIO()
+            batch.write_csv(buf, include_rejected=include_rejected)
+            assert buf.getvalue() == batch_csv_per_cell(batch, include_rejected)
+
+    @pytest.mark.parametrize("method", ["circulant", "certified", "diag_dominance", "limit"])
+    def test_matches_per_cell_writer(self, method):
+        # sizes around the writer's 1024-row blocks and the sampler's 2048-row chunks
+        box = np.array([[-0.25, 0.25]] * 5)
+        for n in (1, 1023, 1024, 1025, 2049):
+            batch = sample_valid((6, 7), n, method=method, seed=n, box=box)
+            self._assert_matches_per_cell(batch)
+
+    def test_no_accepted_rows(self):
+        box = np.array([[0.9, 1.0]] * 5)
+        batch = sample_valid((6, 7), 1500, seed=23, box=box)
+        assert batch.n_accepted == 0
+        self._assert_matches_per_cell(batch)
 
 
 class TestHelperDraws:

@@ -1,6 +1,7 @@
 """Closed-form spectra against dense eigensolver oracles."""
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -13,9 +14,10 @@ from bigmrf import (GridDims, Theta, build_bundle, build_circulant_block,
                     min_eig_perturbed, min_eigs_batch, perturbed_spectrum,
                     spectral_grid, transect_min_eig, write_spectrum_csv,
                     SPECTRUM_CSV_HEADER)
+from bigmrf.spectrum import _hull_modes, _trig
 
 from _oracles import (complex_multisets_close, dense_toeplitz_block, rand_theta,
-                      torus_lower_branch, torus_min_grid_search)
+                      spectrum_csv_per_cell, torus_lower_branch, torus_min_grid_search)
 
 coupling = st.floats(-1.0, 1.0)
 thetas = st.builds(Theta, coupling, coupling, coupling, coupling, coupling)
@@ -23,7 +25,7 @@ side = st.integers(3, 60)
 
 # Square, odd, coprime and n = 3 grids; the hull modes differ most between
 # them (on an n x n grid every change of nearest root is shared by both axes).
-HULL_GRIDS = [(3, 3), (3, 8), (4, 4), (5, 5), (8, 10), (9, 7), (12, 12),
+HULL_GRIDS = [(3, 3), (3, 8), (4, 4), (4, 5), (5, 5), (7, 3), (8, 10), (9, 7), (12, 12),
               (13, 17), (16, 9), (48, 40), (64, 64), (101, 100), (201, 150)]
 
 
@@ -107,6 +109,33 @@ class TestMinEigPerturbed:
     def test_trivial_values(self):
         assert min_eig_perturbed(Theta.zero(), (5, 5)) == 1.0
         assert min_eig_perturbed(Theta(0.5, 0, 0, 0, 0), (5, 5)) == pytest.approx(0.5)
+
+    def test_trig_tables_mirror_exactly(self):
+        # the mirror (-i, -j) of a mode must have the same csum and exactly
+        # -ssum, so that the hull modes with ssum < 0 can be dropped
+        for m in range(3, 401):
+            cos_a, sin_a, cos_b, sin_b = _trig(m, m + 1)
+            for cos, sin in ((cos_b, sin_b), (cos_a, sin_a)):
+                k = np.arange(cos.size)
+                mirror = (-k) % cos.size
+                np.testing.assert_array_equal(cos[mirror], cos)
+                np.testing.assert_array_equal(sin[mirror], -sin)
+                angle = 2 * np.pi * k / cos.size
+                np.testing.assert_allclose(cos, np.cos(angle), rtol=0, atol=1e-14)
+                np.testing.assert_allclose(sin, np.sin(angle), rtol=0, atol=1e-14)
+
+    def test_hull_modes_keep_half_the_boundary(self):
+        # the whole boundary has n1 + n2 modes plus one per change of both
+        # nearest roots at once (gcd of them when both quotients are odd)
+        for n1 in range(3, 41):
+            for n2 in range(3, 41):
+                g = math.gcd(n1, n2)
+                shared = g if (n1 // g) % 2 and (n2 // g) % 2 else 0
+                csum, ssum = _hull_modes(n1, n2)
+                assert (ssum >= 0.0).all()
+                assert csum.size <= (n1 + n2 + shared + 1) // 2 + 1, (n1, n2)
+        assert ([_hull_modes(*dims)[0].size for dims in [(100, 100), (201, 150), (402, 300)]]
+                == [151, 176, 352])
 
     def test_hull_modes_equal_full_scan(self):
         rng = np.random.default_rng(2)
@@ -321,11 +350,22 @@ class TestSpectrumCsv:
         # row-major in (i, j): second row is (0, 1)
         assert lines[2].split(",")[:2] == ["0", "1"]
 
+    def test_bytes_match_per_cell_writer(self):
+        rng = np.random.default_rng(15)
+        for dims in [(4, 6), (33, 32), (201, 150)]:
+            theta = rand_theta(rng)
+            buf = io.StringIO()
+            write_spectrum_csv(theta, dims, buf)
+            assert buf.getvalue() == spectrum_csv_per_cell(
+                spectral_grid(theta, dims), perturbed_spectrum(theta, dims))
+
     def test_spectral_grid_invariant(self):
         theta = Theta(0.2, 0.3, -0.1, 0.4, -0.2)
         grid = spectral_grid(theta, (5, 7))
+        # angles past pi are the mirrors of those below it: index k reads
+        # the cosine computed at min(k, m - k)
         i = np.arange(7)[:, None]
         j = np.arange(5)[None, :]
-        expected = 1.0 + 2.0 * theta.rho11 * (np.cos(2 * np.pi * i / 7)
-                                              + np.cos(2 * np.pi * j / 5))
+        expected = 1.0 + 2.0 * theta.rho11 * (np.cos(2 * np.pi * np.minimum(i, 7 - i) / 7)
+                                              + np.cos(2 * np.pi * np.minimum(j, 5 - j) / 5))
         np.testing.assert_array_equal(grid.lam11, expected)
