@@ -10,19 +10,18 @@ timing studies built on top.
 """
 
 from .core import (GridDims, PrecisionBundle, SparseSymMatrix, Tau, Theta,
-                   build_bundle, build_circulant_block, build_inner_precision,
-                   build_precision, build_toeplitz_block, write_matrix_market)
+                   build_bundle, build_inner_precision, build_precision,
+                   write_matrix_market)
 from .oracle import (DENSE_DIM_CAP, EigResult, LanczosNonConvergence,
-                     dense_spectrum, lanczos_extreme)
+                     lanczos_extreme)
 from .sampler import (BATCH_CSV_HEADER, CoverageResult, LowAcceptanceError,
                       SampleBatch, batch_circulant_valid,
                       dd_coverage_experiment, draw_conditioning_points,
                       draw_limit_valid, sample_conditional_slice, sample_valid)
 from .spectrum import (SPECTRUM_CSV_HEADER, LimitConstant, PerturbedSpectrum,
-                       SpectralGrid, circulant_block_eigs,
-                       exact_symmetric_min_eig, exact_symmetric_spectrum,
-                       lattice_min_eig, limit_constant, limit_constants,
-                       min_eig_perturbed,
+                       SpectralGrid, exact_symmetric_min_eig,
+                       exact_symmetric_spectrum, lattice_min_eig,
+                       limit_constant, limit_constants, min_eig_perturbed,
                        min_eigs_batch, perturbed_spectrum, spectral_grid,
                        transect_min_eig, write_spectrum_csv)
 from .study import (BENCH_CSV_HEADER, FITS_CSV_HEADER, STUDY_CSV_HEADER,
@@ -38,16 +37,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GridDims", "PrecisionBundle", "SparseSymMatrix", "Tau", "Theta",
-    "build_bundle", "build_circulant_block", "build_inner_precision",
-    "build_precision", "build_toeplitz_block", "write_matrix_market",
-    "DENSE_DIM_CAP", "EigResult", "LanczosNonConvergence", "dense_spectrum",
-    "lanczos_extreme",
+    "build_bundle", "build_inner_precision", "build_precision",
+    "write_matrix_market",
+    "DENSE_DIM_CAP", "EigResult", "LanczosNonConvergence", "lanczos_extreme",
     "BATCH_CSV_HEADER", "CoverageResult", "LowAcceptanceError", "SampleBatch",
     "batch_circulant_valid", "dd_coverage_experiment",
     "draw_conditioning_points", "draw_limit_valid",
     "sample_conditional_slice", "sample_valid",
     "SPECTRUM_CSV_HEADER", "LimitConstant", "PerturbedSpectrum", "SpectralGrid",
-    "circulant_block_eigs", "exact_symmetric_min_eig", "exact_symmetric_spectrum",
+    "exact_symmetric_min_eig", "exact_symmetric_spectrum",
     "lattice_min_eig", "limit_constant", "limit_constants", "min_eig_perturbed",
     "min_eigs_batch",
     "perturbed_spectrum", "spectral_grid", "transect_min_eig", "write_spectrum_csv",

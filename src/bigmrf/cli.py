@@ -23,12 +23,16 @@ from .spectrum import write_spectrum_csv
 from .study import (bench_membership, convergence_sweep, fit_loglog,
                     write_bench_csv, write_fits_csv, write_study_csv)
 from .svg import line_chart_svg, scatter_svg
-from .validity import (certified_check, circulant_check, diag_dominance_check,
-                       exact_check, limit_check)
+from .validity import (METHODS, certified_check, circulant_check,
+                       diag_dominance_check, exact_check, limit_check)
 
 __all__ = ["main", "entry"]
 
 _METHOD_ALIASES = {"dd": "diag_dominance"}
+_METHOD_CHOICES = [*_METHOD_ALIASES, *METHODS]
+_CHECKS = {"diag_dominance": diag_dominance_check, "circulant": circulant_check,
+           "certified": certified_check, "limit": lambda theta, dims: limit_check(theta),
+           "exact": exact_check}
 
 
 class _UsageError(Exception):
@@ -99,9 +103,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("check", help="test one parameter vector")
     _add_theta_flags(p)
     _add_dims_flags(p)
-    p.add_argument("--method", default="circulant",
-                   choices=["dd", "diag_dominance", "circulant", "certified",
-                            "limit", "exact"])
+    p.add_argument("--method", default="circulant", choices=_METHOD_CHOICES)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("spectrum", help="per-mode eigenvalue table as CSV")
@@ -113,9 +115,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sample", help="rejection-sample the parameter box")
     _add_dims_flags(p)
     p.add_argument("-N", "--draws", type=int, required=True)
-    p.add_argument("--method", default="circulant",
-                   choices=["dd", "diag_dominance", "circulant", "certified",
-                            "limit", "exact"])
+    p.add_argument("--method", default="circulant", choices=_METHOD_CHOICES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=None)
     p.add_argument("--include-rejected", action="store_true")
@@ -164,28 +164,14 @@ def _theta(args) -> Theta:
 
 
 def cmd_check(args) -> int:
-    theta = _theta(args)
-    dims = GridDims(args.n1, args.n2)
-    method = _METHOD_ALIASES.get(args.method, args.method)
-    if method == "diag_dominance":
-        verdict = diag_dominance_check(theta, dims)
-    elif method == "circulant":
-        verdict = circulant_check(theta, dims)
-    elif method == "certified":
-        verdict = certified_check(theta, dims)
-    elif method == "limit":
-        verdict = limit_check(theta)
-    else:
-        verdict = exact_check(theta, dims)
+    check = _CHECKS[_METHOD_ALIASES.get(args.method, args.method)]
+    verdict = check(_theta(args), GridDims(args.n1, args.n2))
     print(json.dumps(verdict.to_json_dict()))
     return {True: 0, False: 1, None: 2}[verdict.valid]
 
 
 def cmd_spectrum(args) -> int:
-    theta = _theta(args)
-    dims = GridDims(args.n1, args.n2)
-    _write_with(args.output, lambda t, d, out: write_spectrum_csv(t, d, out),
-                theta, dims)
+    _write_with(args.output, write_spectrum_csv, _theta(args), GridDims(args.n1, args.n2))
     return 0
 
 
@@ -200,8 +186,7 @@ def cmd_sample(args) -> int:
     method = _METHOD_ALIASES.get(args.method, args.method)
     batch = sample_valid(dims, args.draws, method=method, seed=args.seed,
                          threads=_threads(args))
-    _write_with(args.output, lambda b, out: b.write_csv(
-        out, include_rejected=args.include_rejected), batch)
+    _write_with(args.output, batch.write_csv, include_rejected=args.include_rejected)
     _summary(args, f"sample: {batch.n_accepted}/{batch.n_proposed} accepted "
                    f"(rate {batch.acceptance_rate:.4f}, method {method}, "
                    f"seed {args.seed})")
@@ -213,8 +198,7 @@ def cmd_slice(args) -> int:
     batch = sample_conditional_slice(args.phi, args.rho11, args.rho22, dims,
                                      args.draws, seed=args.seed,
                                      threads=_threads(args))
-    _write_with(args.output, lambda b, out: b.write_csv(
-        out, include_rejected=args.include_rejected), batch)
+    _write_with(args.output, batch.write_csv, include_rejected=args.include_rejected)
     if args.svg:
         acc = batch.accepted
         dd = batch.dd_valid

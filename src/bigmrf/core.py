@@ -25,6 +25,7 @@ cancels exactly in that merge and is dropped.
 from __future__ import annotations
 
 import math
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -37,8 +38,6 @@ __all__ = [
     "GridDims",
     "SparseSymMatrix",
     "PrecisionBundle",
-    "build_toeplitz_block",
-    "build_circulant_block",
     "build_inner_precision",
     "build_precision",
     "build_bundle",
@@ -184,17 +183,6 @@ class SparseSymMatrix:
         self.vals = v
         self._csr = None
 
-    @classmethod
-    def from_scipy(cls, m) -> "SparseSymMatrix":
-        """Fold a symmetric scipy sparse matrix into triplet storage."""
-        m = m.tocsr()
-        if m.shape[0] != m.shape[1]:
-            raise ValueError("matrix must be square")
-        if (m != m.T).nnz != 0:
-            raise ValueError("matrix is not symmetric")
-        coo = sp.triu(m, format="coo")
-        return cls(m.shape[0], coo.row, coo.col, coo.data)
-
     @property
     def nnz(self) -> int:
         """Nonzero count of the full symmetric matrix (mirrored entries counted)."""
@@ -295,24 +283,6 @@ def _block_triplets(x, y, z, dims: GridDims, wrap: bool):
     return (np.empty(0, dtype=np.int64),) * 2 + (np.empty(0),)
 
 
-def _block(x, y, z, dims: GridDims, wrap: bool) -> sp.csr_matrix:
-    r, c, v = _block_triplets(x, y, z, dims, wrap)
-    return sp.coo_matrix((v, (r, c)), shape=(dims.n, dims.n)).tocsr()
-
-
-def build_toeplitz_block(x: float, y: float, z: float, dims) -> sp.csr_matrix:
-    """Block-Toeplitz lattice block T(x, y, z), stored as a general sparse matrix.
-
-    Returned general (not symmetry-folded) because T is asymmetric when x != z.
-    """
-    return _block(float(x), float(y), float(z), _as_dims(dims), wrap=False)
-
-
-def build_circulant_block(x: float, y: float, z: float, dims) -> sp.csr_matrix:
-    """Block-circulant lattice block C(x, y, z): T(x, y, z) plus wrap entries."""
-    return _block(float(x), float(y), float(z), _as_dims(dims), wrap=True)
-
-
 def _inner_triplets(theta: Theta, dims: GridDims, wrap: bool):
     """Upper-triangle triplets of the 2n x 2n inner precision (wrap=True: Q~).
 
@@ -374,9 +344,9 @@ def build_bundle(theta: Theta, dims) -> PrecisionBundle:
 
 @contextmanager
 def _open_out(f):
-    """Yield a writable text stream: ``f`` itself, or the path ``f`` opened
-    for writing and closed on exit."""
-    if isinstance(f, str):
+    """Yield a writable text stream: ``f`` itself, or the path ``f`` (a str or
+    ``os.PathLike``) opened for writing and closed on exit."""
+    if isinstance(f, (str, os.PathLike)):
         with open(f, "w") as out:
             yield out
     else:
@@ -397,22 +367,12 @@ def _write_rows(out, fmt: str, rows: np.ndarray, columns) -> None:
         out.write("".join([fmt % row for row in zip(*cells)]))
 
 
-def write_matrix_market(m, f) -> None:
-    """Dump a matrix in MatrixMarket coordinate format (1-based indices).
-
-    ``SparseSymMatrix`` inputs use the ``symmetric`` qualifier and emit the
-    lower triangle (the MatrixMarket convention); scipy sparse inputs are
-    written as ``general``.
-    """
+def write_matrix_market(m: SparseSymMatrix, f) -> None:
+    """Dump a matrix in MatrixMarket coordinate format (1-based indices), with
+    the ``symmetric`` qualifier and the lower triangle (the MatrixMarket
+    convention)."""
     with _open_out(f) as out:
-        if isinstance(m, SparseSymMatrix):
-            out.write("%%MatrixMarket matrix coordinate real symmetric\n")
-            out.write(f"{m.dim} {m.dim} {m.nnz_stored}\n")
-            for r, c, v in zip(m.rows, m.cols, m.vals):
-                out.write(f"{c + 1} {r + 1} {float(v)!r}\n")
-        else:
-            coo = sp.coo_matrix(m)
-            out.write("%%MatrixMarket matrix coordinate real general\n")
-            out.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-            for r, c, v in zip(coo.row, coo.col, coo.data):
-                out.write(f"{r + 1} {c + 1} {float(v)!r}\n")
+        out.write("%%MatrixMarket matrix coordinate real symmetric\n")
+        out.write(f"{m.dim} {m.dim} {m.nnz_stored}\n")
+        for r, c, v in zip(m.rows, m.cols, m.vals):
+            out.write(f"{c + 1} {r + 1} {float(v)!r}\n")

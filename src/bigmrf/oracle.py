@@ -1,11 +1,12 @@
 """Ground-truth eigenvalues of sparse symmetric matrices.
 
-Small matrices go through a dense symmetric eigensolver.  Large ones use
-ARPACK's implicitly restarted Lanczos method in shift-invert mode (Lehoucq,
-Sorensen & Yang, *ARPACK Users' Guide*, 1998): the caller supplies a rigorous
-lower bound on the smallest eigenvalue, the shift sits just below it, and a
-sparse LU factorisation of the shifted matrix (Rue & Held, *Gaussian Markov
-Random Fields*, 2005, ch. 2) makes the wanted eigenvalue the dominant one.
+Up to dimension ``DENSE_DIM_CAP``, ``validity.exact_check`` calls a dense
+symmetric eigensolver itself.  Beyond it, this module uses ARPACK's
+implicitly restarted Lanczos method in shift-invert mode (Lehoucq, Sorensen
+& Yang, *ARPACK Users' Guide*, 1998): the caller supplies a rigorous lower
+bound on the smallest eigenvalue, the shift sits just below it, and a sparse
+LU factorisation of the shifted matrix (Rue & Held, *Gaussian Markov Random
+Fields*, 2005, ch. 2) makes the wanted eigenvalue the dominant one.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ __all__ = [
     "EigResult",
     "LanczosNonConvergence",
     "lanczos_extreme",
-    "dense_spectrum",
 ]
 
 DENSE_DIM_CAP = 2000
@@ -91,24 +91,3 @@ def lanczos_extreme(m: SparseSymMatrix, lower_bound: float) -> EigResult:
         raise LanczosNonConvergence(value, residual, solves)
     return EigResult(value=value, vector=vec, iterations=solves, residual=residual)
 
-
-def dense_spectrum(m, dim_cap: int = DENSE_DIM_CAP) -> np.ndarray:
-    """Full spectrum of a small matrix.
-
-    Symmetric input (``SparseSymMatrix`` or an array equal to its transpose)
-    yields an ascending real array via the standard symmetric eigensolver;
-    anything else yields a complex array sorted by (real, imag).
-    """
-    if isinstance(m, SparseSymMatrix):
-        if m.dim > dim_cap:
-            raise ValueError(f"dense spectrum capped at dim {dim_cap}, got {m.dim}")
-        return np.linalg.eigvalsh(m.to_dense())
-    dense = m.toarray() if sp.issparse(m) else np.asarray(m)
-    if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
-        raise ValueError("matrix must be square")
-    if dense.shape[0] > dim_cap:
-        raise ValueError(f"dense spectrum capped at dim {dim_cap}, got {dense.shape[0]}")
-    if np.array_equal(dense, dense.T):
-        return np.linalg.eigvalsh(dense)
-    vals = np.linalg.eigvals(dense)
-    return vals[np.lexsort((vals.imag, vals.real))]

@@ -37,6 +37,10 @@ DEFAULT_BOX = np.array([[-1.0, 1.0]] * 5)
 _CHUNK = 2048
 _WARMUP = 4096
 _MIN_RATE = 1e-4
+_COVERAGE_CHUNK = 16384
+_COVERAGE_MAX_PROPOSALS = 200_000_000
+_LIMIT_MAX_TRIES = 2_000_000
+_CONDITIONING_MAX_TRIES = 100_000
 
 BATCH_CSV_HEADER = "idx,phi,rho11,rho12,rho21,rho22,valid,dd_valid,min_eig"
 
@@ -243,9 +247,7 @@ class CoverageResult:
     ratio: float
 
 
-def dd_coverage_experiment(dims, n_valid: int, seed: int = 0,
-                           chunk: int = 16384,
-                           max_proposals: int = 200_000_000) -> CoverageResult:
+def dd_coverage_experiment(dims, n_valid: int, seed: int = 0) -> CoverageResult:
     """Count diagonally dominant points among ``n_valid`` accepted draws.
 
     Proposes uniform parameter vectors on [-1, 1]^5 until ``n_valid`` of them
@@ -253,7 +255,8 @@ def dd_coverage_experiment(dims, n_valid: int, seed: int = 0,
     region fills only ~0.2% of the box, so the accepted count is the one
     that controls the precision of the ratio).  Memory stays O(chunk); the
     screened validity check keeps the throughput at millions of proposals
-    per minute.
+    per minute.  Raises :class:`LowAcceptanceError` after 200,000,000
+    proposals.
     """
     if n_valid < 1:
         raise ValueError("n_valid must be >= 1")
@@ -263,11 +266,11 @@ def dd_coverage_experiment(dims, n_valid: int, seed: int = 0,
     n_dd = 0
     c = 0
     while n_acc < n_valid:
-        if n_seen >= max_proposals:
+        if n_seen >= _COVERAGE_MAX_PROPOSALS:
             raise LowAcceptanceError(
                 f"only {n_acc}/{n_valid} accepted after {n_seen} proposals")
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(c,)))
-        thetas = rng.uniform(-1.0, 1.0, size=(chunk, 5))
+        thetas = rng.uniform(-1.0, 1.0, size=(_COVERAGE_CHUNK, 5))
         ok = batch_circulant_valid(thetas, dims)
         hits = np.flatnonzero(ok)
         if n_acc + hits.size > n_valid:
@@ -276,7 +279,7 @@ def dd_coverage_experiment(dims, n_valid: int, seed: int = 0,
             n_seen += int(cutoff) + 1
             hits = hits[:n_valid - n_acc]
         else:
-            n_seen += chunk
+            n_seen += _COVERAGE_CHUNK
         n_acc += hits.size
         n_dd += int((_dd_margins(thetas[hits]) > 0.0).sum())
         c += 1
@@ -284,7 +287,7 @@ def dd_coverage_experiment(dims, n_valid: int, seed: int = 0,
                           n_proposed=n_seen, ratio=n_dd / n_acc)
 
 
-def draw_limit_valid(n: int, seed: int = 0, max_tries: int = 2_000_000) -> list:
+def draw_limit_valid(n: int, seed: int = 0) -> list:
     """Draw n parameter vectors whose continuous-symbol minimum is positive.
 
     Uniform proposals on [-1, 1]^5, in blocks of 1024; only vectors with
@@ -296,7 +299,7 @@ def draw_limit_valid(n: int, seed: int = 0, max_tries: int = 2_000_000) -> list:
     c = 0
     tried = 0
     while len(out) < n:
-        if tried >= max_tries:
+        if tried >= _LIMIT_MAX_TRIES:
             raise LowAcceptanceError(
                 f"only {len(out)}/{n} limit-valid draws in {tried} proposals")
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(c,)))
@@ -308,8 +311,7 @@ def draw_limit_valid(n: int, seed: int = 0, max_tries: int = 2_000_000) -> list:
     return out
 
 
-def draw_conditioning_points(k: int, dims, seed: int = 0,
-                             max_tries: int = 100_000) -> np.ndarray:
+def draw_conditioning_points(k: int, dims, seed: int = 0) -> np.ndarray:
     """Draw k triples (phi, rho11, rho22) valid at zero cross coupling.
 
     Rejection-samples uniform triples on [-1, 1]^3 until the periodic check
@@ -320,7 +322,7 @@ def draw_conditioning_points(k: int, dims, seed: int = 0,
     dims = _as_dims(dims)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     found = []
-    for _ in range(max_tries):
+    for _ in range(_CONDITIONING_MAX_TRIES):
         phi, r11, r22 = rng.uniform(-1.0, 1.0, 3)
         theta = Theta(phi, r11, 0.0, 0.0, r22)
         if circulant_check(theta, dims).valid:
@@ -328,4 +330,4 @@ def draw_conditioning_points(k: int, dims, seed: int = 0,
             if len(found) == k:
                 return np.array(found)
     raise LowAcceptanceError(f"could not find {k} conditioning points "
-                             f"in {max_tries} tries")
+                             f"in {_CONDITIONING_MAX_TRIES} tries")

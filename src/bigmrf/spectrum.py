@@ -50,7 +50,6 @@ __all__ = [
     "SpectralGrid",
     "PerturbedSpectrum",
     "LimitConstant",
-    "circulant_block_eigs",
     "spectral_grid",
     "perturbed_spectrum",
     "min_eig_perturbed",
@@ -163,21 +162,12 @@ def _full_grid(dims: GridDims):
     return (cos_a[:, None] + cos_b).ravel(), (sin_a[:, None] + sin_b).ravel()
 
 
-def circulant_block_eigs(x: float, y: float, z: float, dims) -> np.ndarray:
-    """Eigenvalues of C(x, y, z) as an (n2, n1) complex array.
-
-    Entry (i, j) is the symbol at (2*pi*i/n2, 2*pi*j/n1); a symmetric block
-    (x == z) therefore comes out with exactly zero imaginary part.
-    """
-    dims = _as_dims(dims)
-    csum, ssum = (m.reshape(dims.n2, dims.n1) for m in _full_grid(dims))
-    x, y, z = float(x), float(y), float(z)
-    return (y + (x + z) * csum) + 1j * ((x - z) * ssum)
-
-
 @dataclass(frozen=True)
 class SpectralGrid:
-    """Per-mode eigenvalues of the three distinct circulant blocks."""
+    """Per-mode eigenvalues of the three distinct circulant blocks C(x, y, z).
+
+    Entry (i, j) is the block's symbol at (2*pi*i/n2, 2*pi*j/n1).
+    """
 
     dims: GridDims
     lam11: np.ndarray   # (n2, n1) real, block (rho11, 1, rho11)

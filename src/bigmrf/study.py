@@ -204,11 +204,13 @@ def _median_ns(fn, reps: int) -> int:
     return int(np.median(times))
 
 
-def _draw_classified(dims: GridDims, n_valid: int, n_invalid: int, seed: int,
-                     max_tries: int = 200_000):
+_CLASSIFY_MAX_TRIES = 200_000
+
+
+def _draw_classified(dims: GridDims, n_valid: int, n_invalid: int, seed: int):
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     valid, invalid = [], []
-    for _ in range(0, max_tries, 256):
+    for _ in range(0, _CLASSIFY_MAX_TRIES, 256):
         thetas = rng.uniform(DEFAULT_BOX[:, 0], DEFAULT_BOX[:, 1], size=(256, 5))
         mins = min_eigs_batch(thetas, dims)
         for t, ev in zip(thetas, mins):

@@ -8,8 +8,10 @@ import scipy.io
 from hypothesis import given, settings, strategies as st
 
 from bigmrf import (GridDims, SparseSymMatrix, Tau, Theta, build_bundle,
-                    build_circulant_block, build_inner_precision,
-                    build_precision, build_toeplitz_block, write_matrix_market)
+                    build_inner_precision, build_precision, sample_valid,
+                    write_bench_csv, write_fits_csv, write_matrix_market,
+                    write_spectrum_csv, write_study_csv)
+from bigmrf.svg import line_chart_svg, scatter_svg
 
 from _oracles import (dense_circulant_block, dense_inner_precision,
                       dense_precision, dense_toeplitz_block, rand_theta)
@@ -23,6 +25,15 @@ taus = st.builds(Tau, st.floats(0.05, 20.0), st.floats(0.05, 20.0))
 def _identity(dim):
     idx = np.arange(dim)
     return SparseSymMatrix(dim, idx, idx, np.ones(dim))
+
+
+def _cross_block(x, y, z, dims, wrap=False):
+    """The package's lattice block T(x, y, z), or C(x, y, z) with ``wrap``:
+    the cross block of Q (or Q~) at (phi, rho12, rho21) = (y, z, x)."""
+    theta = Theta(y, 0.0, z, x, 0.0)
+    q = build_bundle(theta, dims).q_tilde if wrap else build_inner_precision(theta, dims)
+    n = GridDims(*dims).n
+    return q.to_dense()[:n, n:]
 
 
 class TestDomainTypes:
@@ -103,12 +114,11 @@ class TestMatvec:
 
 class TestToeplitzBlock:
     def test_identity_when_uncoupled(self):
-        t = build_toeplitz_block(0.0, 1.0, 0.0, (3, 3))
-        np.testing.assert_array_equal(t.toarray(), np.eye(9))
+        np.testing.assert_array_equal(_cross_block(0.0, 1.0, 0.0, (3, 3)), np.eye(9))
 
     def test_four_neighbour_stencil(self):
         rho = 0.3
-        t = build_toeplitz_block(rho, 1.0, rho, (4, 6)).toarray()
+        t = _cross_block(rho, 1.0, rho, (4, 6))
         np.testing.assert_array_equal(t, dense_toeplitz_block(rho, 1.0, rho, 4, 6))
         # interior row: unit diagonal plus rho at the four lattice neighbours
         r = 2 * 4 + 1
@@ -122,42 +132,40 @@ class TestToeplitzBlock:
 
     def test_interior_row_sum(self):
         x, y, z = 0.4, 1.0, -0.2
-        t = build_toeplitz_block(x, y, z, (5, 5)).toarray()
+        t = _cross_block(x, y, z, (5, 5))
         assert t[12].sum() == pytest.approx(y + 2 * x + 2 * z, abs=1e-15)
 
     @given(x=coupling, y=coupling, z=coupling, n1=side, n2=side)
     @settings(max_examples=40, deadline=None)
     def test_matches_oracle(self, x, y, z, n1, n2):
-        t = build_toeplitz_block(x, y, z, (n1, n2))
-        np.testing.assert_array_equal(t.toarray(), dense_toeplitz_block(x, y, z, n1, n2))
+        np.testing.assert_array_equal(_cross_block(x, y, z, (n1, n2)),
+                                      dense_toeplitz_block(x, y, z, n1, n2))
 
 
 class TestCirculantBlock:
     def test_identity_when_uncoupled(self):
-        c = build_circulant_block(0.0, 1.0, 0.0, (3, 3))
-        np.testing.assert_array_equal(c.toarray(), np.eye(9))
+        np.testing.assert_array_equal(_cross_block(0.0, 1.0, 0.0, (3, 3), wrap=True),
+                                      np.eye(9))
 
     def test_all_row_sums_equal_symbol_at_dc(self):
         x, y, z = 0.25, 1.0, -0.15
-        c = build_circulant_block(x, y, z, (4, 6)).toarray()
+        c = _cross_block(x, y, z, (4, 6), wrap=True)
         np.testing.assert_allclose(c.sum(axis=1), y + 2 * x + 2 * z, atol=1e-15)
 
     def test_difference_is_wrap_support_only(self):
         x, y, z = 0.3, 1.0, 0.7
-        dims = (4, 6)
-        diff = (build_circulant_block(x, y, z, dims)
-                - build_toeplitz_block(x, y, z, dims)).tocsr()
-        diff.eliminate_zeros()
-        assert diff.nnz == 2 * 4 + 2 * 6
+        delta = build_bundle(Theta(y, 0.0, z, x, 0.0), (4, 6)).delta_q.to_dense()
+        diff = delta[:24, 24:]
+        assert np.count_nonzero(diff) == 2 * 4 + 2 * 6
         expected = (dense_circulant_block(x, y, z, 4, 6)
                     - dense_toeplitz_block(x, y, z, 4, 6))
-        np.testing.assert_array_equal(diff.toarray(), expected)
+        np.testing.assert_array_equal(diff, expected)
 
     @given(x=coupling, y=coupling, z=coupling, n1=side, n2=side)
     @settings(max_examples=40, deadline=None)
     def test_matches_oracle(self, x, y, z, n1, n2):
-        c = build_circulant_block(x, y, z, (n1, n2))
-        np.testing.assert_array_equal(c.toarray(), dense_circulant_block(x, y, z, n1, n2))
+        np.testing.assert_array_equal(_cross_block(x, y, z, (n1, n2), wrap=True),
+                                      dense_circulant_block(x, y, z, n1, n2))
 
 
 class TestPrecision:
@@ -304,18 +312,34 @@ class TestMatrixMarket:
         back = scipy.io.mmread(io.StringIO(text))
         np.testing.assert_allclose(back.toarray(), q.to_dense(), atol=0)
 
-    def test_general_roundtrip(self):
-        t = build_toeplitz_block(0.3, 1.0, -0.2, (3, 4))
-        buf = io.StringIO()
-        write_matrix_market(t, buf)
-        text = buf.getvalue()
-        assert text.startswith("%%MatrixMarket matrix coordinate real general\n")
-        back = scipy.io.mmread(io.StringIO(text))
-        np.testing.assert_allclose(back.toarray(), t.toarray(), atol=0)
-
     def test_file_output(self, tmp_path):
         q = build_inner_precision(Theta.zero(), (3, 3))
         path = str(tmp_path / "q.mtx")
         write_matrix_market(q, path)
         back = scipy.io.mmread(path)
         np.testing.assert_array_equal(back.toarray(), np.eye(18))
+
+
+_THETA = Theta(0.1, 0.2, 0.05, -0.07, 0.15)
+WRITERS = {
+    "matrix_market": lambda f: write_matrix_market(build_inner_precision(_THETA, (3, 4)), f),
+    "spectrum_csv": lambda f: write_spectrum_csv(_THETA, (3, 4), f),
+    "sample_csv": lambda f: sample_valid((5, 5), 16, seed=1).write_csv(
+        f, include_rejected=True),
+    "study_csv": lambda f: write_study_csv([], f),
+    "fits_csv": lambda f: write_fits_csv([], f),
+    "bench_csv": lambda f: write_bench_csv([], f),
+    "scatter_svg": lambda f: scatter_svg(
+        [(np.array([0.0, 1.0]), np.array([1.0, 0.0]), "#000", "points")], "x", "y", "t", f),
+    "line_chart_svg": lambda f: line_chart_svg(
+        [([1, 10], [1.0, 0.1], "#000", "line")], "x", "y", "t", f),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITERS))
+def test_writers_accept_pathlib_paths(name, tmp_path):
+    buf = io.StringIO()
+    WRITERS[name](buf)
+    path = tmp_path / "out"
+    WRITERS[name](path)
+    assert path.read_text() == buf.getvalue()

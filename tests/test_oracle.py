@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
+import bigmrf.validity
 from bigmrf import (GridDims, LanczosNonConvergence, SparseSymMatrix, Theta,
-                    build_bundle, build_circulant_block, build_inner_precision,
-                    build_toeplitz_block, dense_spectrum,
+                    build_bundle, build_inner_precision, exact_check,
                     exact_symmetric_min_eig, lanczos_extreme, limit_constant,
                     min_eig_perturbed)
 from bigmrf.oracle import DENSE_DIM_CAP
 
-from _oracles import rand_theta
+from _oracles import dense_inner_precision, rand_theta
 
 
 def _identity(dim):
@@ -129,36 +129,42 @@ class TestLanczos:
 
 
 class TestDenseSpectrum:
-    def test_two_point_diagonal(self):
-        m = SparseSymMatrix(2, [0, 1], [0, 1], [1.0, 0.5])
-        np.testing.assert_allclose(dense_spectrum(m), [0.5, 1.0], atol=0)
-
     def test_tridiagonal_classical_modes(self):
         rho, n = 0.37, 9
-        chain = SparseSymMatrix.from_scipy(
-            build_toeplitz_block(rho, 1.0, rho, (n, 3))[:n, :n])
+        q = build_inner_precision(Theta(0.0, rho, 0.0, 0.0, 0.0), (n, 3))
+        chain = q.to_dense()[:n, :n]
         expected = np.sort(1 + 2 * rho * np.cos(np.pi * np.arange(1, n + 1) / (n + 1)))
-        np.testing.assert_allclose(dense_spectrum(chain), expected, atol=1e-12)
+        np.testing.assert_allclose(np.linalg.eigvalsh(chain), expected, atol=1e-12)
 
     def test_circulant_symbol(self):
         x, y, z = 0.3, 1.0, -0.2
         n = 11
-        ring = build_circulant_block(x, y, z, (n, 3))[:n, :n]
+        # the first sub-block of Q~'s cross block C(x, y, z) is a ring
+        q_tilde = build_bundle(Theta(y, 0.0, z, x, 0.0), (n, 3)).q_tilde.to_dense()
+        ring = q_tilde[:n, 3 * n:4 * n]
         w = np.exp(-2j * np.pi * np.arange(n) / n)
         symbol = y + z * w + x * np.conj(w)
-        got = dense_spectrum(ring)
+        got = np.linalg.eigvals(ring)
+        got = got[np.lexsort((got.imag, got.real))]
         expected = symbol[np.lexsort((symbol.imag, symbol.real))]
         np.testing.assert_allclose(got, expected, atol=1e-10)
 
-    def test_symmetric_ndarray_input(self):
-        rng = np.random.default_rng(9)
-        a = rng.normal(size=(6, 6))
-        a = a + a.T
-        np.testing.assert_allclose(dense_spectrum(a), np.linalg.eigvalsh(a),
-                                   atol=1e-12)
+    def test_dim_cap(self, monkeypatch):
+        # exact_check is dense up to DENSE_DIM_CAP and shift-invert beyond
+        calls = []
 
-    def test_dim_cap(self):
-        with pytest.raises(ValueError):
-            dense_spectrum(np.eye(3), dim_cap=2)
-        with pytest.raises(ValueError):
-            dense_spectrum(_identity(3), dim_cap=2)
+        def spy(m, lower_bound):
+            calls.append(m.dim)
+            return lanczos_extreme(m, lower_bound)
+
+        monkeypatch.setattr(bigmrf.validity, "DENSE_DIM_CAP", 24)
+        monkeypatch.setattr(bigmrf.validity, "lanczos_extreme", spy)
+        theta = Theta(0.1, 0.2, 0.05, -0.07, 0.15)
+        dense = exact_check(theta, (3, 4))
+        assert calls == []
+        assert dense.min_eig_evidence == np.linalg.eigvalsh(
+            dense_inner_precision(theta, 3, 4))[0]
+        iterative = exact_check(theta, (3, 5))
+        assert calls == [30]
+        assert iterative.min_eig_evidence == pytest.approx(
+            np.linalg.eigvalsh(dense_inner_precision(theta, 3, 5))[0], abs=1e-12)

@@ -5,6 +5,7 @@ import io
 import numpy as np
 import pytest
 
+import bigmrf.sampler
 from bigmrf import (BATCH_CSV_HEADER, LowAcceptanceError, Theta,
                     batch_circulant_valid, dd_coverage_experiment,
                     diag_dominance_margin, draw_conditioning_points,
@@ -127,6 +128,12 @@ class TestCoverageExperiment:
         res = dd_coverage_experiment((20, 20), n_valid=500, seed=12)
         assert 0.0 < res.ratio < 1.0
 
+    def test_proposal_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(bigmrf.sampler, "_COVERAGE_CHUNK", 256)
+        monkeypatch.setattr(bigmrf.sampler, "_COVERAGE_MAX_PROPOSALS", 1024)
+        with pytest.raises(LowAcceptanceError, match="after 1024 proposals"):
+            dd_coverage_experiment((20, 20), n_valid=1000, seed=12)
+
 
 class TestConditionalSlice:
     def test_fixed_coordinates_and_reproducibility(self):
@@ -221,3 +228,13 @@ class TestHelperDraws:
         again = draw_limit_valid(3, seed=19)
         assert [t.as_array().tolist() for t in thetas] == \
                [t.as_array().tolist() for t in again]
+
+    def test_conditioning_points_exhaustion_raises(self, monkeypatch):
+        monkeypatch.setattr(bigmrf.sampler, "_CONDITIONING_MAX_TRIES", 5)
+        with pytest.raises(LowAcceptanceError, match="in 5 tries"):
+            draw_conditioning_points(6, (20, 20), seed=18)
+
+    def test_limit_valid_exhaustion_raises(self, monkeypatch):
+        monkeypatch.setattr(bigmrf.sampler, "_LIMIT_MAX_TRIES", 1024)
+        with pytest.raises(LowAcceptanceError, match="in 1024 proposals"):
+            draw_limit_valid(1000, seed=19)

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bigmrf import (GridDims, Theta, build_bundle, build_circulant_block,
-                    build_inner_precision, circulant_block_eigs,
+from bigmrf import (GridDims, Theta, build_bundle, build_inner_precision,
                     exact_symmetric_min_eig, exact_symmetric_spectrum,
                     lattice_min_eig, limit_constant, limit_constants,
                     min_eig_perturbed, min_eigs_batch, perturbed_spectrum,
@@ -16,8 +15,9 @@ from bigmrf import (GridDims, Theta, build_bundle, build_circulant_block,
                     SPECTRUM_CSV_HEADER)
 from bigmrf.spectrum import _hull_modes, _trig
 
-from _oracles import (complex_multisets_close, dense_toeplitz_block, rand_theta,
-                      spectrum_csv_per_cell, torus_lower_branch, torus_min_grid_search)
+from _oracles import (complex_multisets_close, dense_circulant_block,
+                      dense_toeplitz_block, rand_theta, spectrum_csv_per_cell,
+                      torus_lower_branch, torus_min_grid_search)
 
 coupling = st.floats(-1.0, 1.0)
 thetas = st.builds(Theta, coupling, coupling, coupling, coupling, coupling)
@@ -52,25 +52,29 @@ degenerate_thetas = st.builds(_degenerate, st.lists(coupling, min_size=5, max_si
 class TestCirculantBlockEigs:
     def test_symmetric_block_formula(self):
         rho, dims = 0.3, GridDims(4, 6)
-        lam = circulant_block_eigs(rho, 1.0, rho, dims)
-        assert np.all(lam.imag == 0.0)
+        grid = spectral_grid(Theta(0.2, rho, 0.1, 0.1, rho), dims)
+        assert np.all(grid.lam12.imag == 0.0)  # rho12 == rho21: symmetric block
         i = np.arange(6)[:, None]
         j = np.arange(4)[None, :]
         expected = 1.0 + 2.0 * rho * (np.cos(2 * np.pi * i / 6)
                                       + np.cos(2 * np.pi * j / 4))
-        np.testing.assert_allclose(lam.real, expected, atol=1e-15)
+        np.testing.assert_allclose(grid.lam11, expected, atol=1e-15)
 
     def test_dc_mode_is_row_sum(self):
-        lam = circulant_block_eigs(0.4, 1.0, -0.7, (5, 5))
-        assert lam[0, 0] == pytest.approx(1.0 + 2 * 0.4 - 2 * 0.7, abs=1e-15)
+        # lam12 is the symbol of C(rho21, phi, rho12) = C(0.4, 1.0, -0.7)
+        dc = spectral_grid(Theta(1.0, 0.0, -0.7, 0.4, 0.0), (5, 5)).lam12[0, 0]
+        assert dc.imag == 0.0
+        np.testing.assert_allclose(dense_circulant_block(0.4, 1.0, -0.7, 5, 5).sum(axis=1),
+                                   dc.real, atol=1e-15)
 
     def test_multiset_matches_dense_eigendecomposition(self):
         rng = np.random.default_rng(42)
         for _ in range(10):
-            x, y, z = rng.uniform(-1, 1, 3)
-            lam = circulant_block_eigs(x, y, z, (3, 4))
-            dense = np.linalg.eigvals(build_circulant_block(x, y, z, (3, 4)).toarray())
-            assert complex_multisets_close(lam, dense, 1e-10)
+            theta = rand_theta(rng)
+            grid = spectral_grid(theta, (3, 4))
+            dense = np.linalg.eigvals(
+                dense_circulant_block(theta.rho21, theta.phi, theta.rho12, 3, 4))
+            assert complex_multisets_close(grid.lam12, dense, 1e-10)
 
 
 class TestPerturbedSpectrum:

@@ -197,6 +197,11 @@ class TestBench:
         with pytest.raises(ValueError):
             bench_membership([(20, 20)], n_valid=1, n_invalid=1, reps=0)
 
+    def test_classification_exhaustion_raises(self, monkeypatch):
+        monkeypatch.setattr(bigmrf.study, "_CLASSIFY_MAX_TRIES", 256)
+        with pytest.raises(RuntimeError, match="could not classify"):
+            bench_membership([(20, 20)], n_valid=1000, n_invalid=1)
+
 
 class TestCsvWriters:
     def test_study_and_fits_roundtrip(self):
