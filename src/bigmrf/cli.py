@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 valid, 1 invalid, 2 unknown; 64 flag validation error,
-65 oracle non-convergence, 66 unwritable output path, 70 unexpected error.
+65 oracle non-convergence, 66 unwritable output path, 70 acceptance below
+1e-4 after the 4096-proposal warm-up, or an unexpected error.
 The split makes the tool scriptable inside samplers: the verdict is the
 process status, details go to stdout as JSON or CSV.
 """

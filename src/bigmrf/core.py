@@ -15,11 +15,14 @@ Three matrices are assembled here:
 * ``delta Q`` = ``Q~ - Q`` -- the boundary perturbation, supported on the
                 wrap positions only.
 
-All three come from one triplet path: ``_inner_triplets`` lists the upper
-triangle of the two diagonal blocks and the whole cross block, and
-``SparseSymMatrix`` sorts and merges those triplets once.  ``delta Q`` is
-Q~'s triplets followed by Q's with negated values; every entry the two share
-cancels exactly in that merge and is dropped.
+All three come from one stencil table.  Row ``r < n`` (site ``(i, j)``) has
+five slots in the diagonal block and nine in the cross block, row ``n + r``
+the five diagonal-block slots of ``rho22``.  A band slot is an entry of Q,
+present unless the site lies on the lattice edge its step crosses; a wrap
+slot is an entry of ``delta Q``, present only on that edge.  The slot
+offsets ascend, so masking the table row by row gives upper-triangle
+triplets already in ``(row, col)`` order: Q is the band slots, Q~ band and
+wrap, ``delta Q`` the wrap slots.
 """
 
 from __future__ import annotations
@@ -136,10 +139,11 @@ def _as_dims(dims) -> GridDims:
 
 
 class SparseSymMatrix:
-    """Symmetric sparse matrix stored as deduplicated upper-triangle triplets.
+    """Symmetric sparse matrix stored as upper-triangle triplets.
 
-    Exactly one triplet is stored per unordered index pair (``row <= col``),
-    entries are sorted lexicographically and explicit zeros are dropped, so
+    The constructor takes the triplets in canonical order: ``row <= col`` and
+    strictly increasing in ``(row, col)``, so one triplet per unordered index
+    pair; anything else raises ``ValueError``.  Explicit zeros are dropped, so
     nonzero counts are well defined and bit-exact comparisons of the pattern
     are possible.
     """
@@ -158,29 +162,15 @@ class SparseSymMatrix:
         if rows.size and (rows.min() < 0 or cols.min() < 0
                           or rows.max() >= dim or cols.max() >= dim):
             raise ValueError("triplet index out of bounds")
-
-        # Fold to the upper triangle, merge duplicates, drop exact zeros.
-        swap = rows > cols
-        r = np.where(swap, cols, rows)
-        c = np.where(swap, rows, cols)
-        order = np.lexsort((c, r))
-        r, c, v = r[order], c[order], vals[order]
-        if r.size:
-            key_change = np.empty(r.size, dtype=bool)
-            key_change[0] = True
-            key_change[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
-            group = np.cumsum(key_change) - 1
-            merged = np.zeros(group[-1] + 1)
-            np.add.at(merged, group, v)
-            r, c = r[key_change], c[key_change]
-            v = merged
-            keep = v != 0.0
-            r, c, v = r[keep], c[keep], v[keep]
-
+        key = rows * dim + cols
+        if np.any(rows > cols) or np.any(key[1:] <= key[:-1]):
+            raise ValueError("triplets must have row <= col and strictly increase "
+                             "in (row, col)")
+        keep = vals != 0.0
         self.dim = dim
-        self.rows = r
-        self.cols = c
-        self.vals = v
+        self.rows = rows[keep]
+        self.cols = cols[keep]
+        self.vals = vals[keep]
         self._csr = None
 
     @property
@@ -243,65 +233,36 @@ class PrecisionBundle:
     theta: Theta
 
 
-def _block_triplets(x, y, z, dims: GridDims, wrap: bool):
-    """Triplet arrays for T(x, y, z) (wrap=False) or C(x, y, z) (wrap=True).
+# Stencil slots of row r < n, by column offset: r + (0, 1, n1-1, n1, n-n1) in
+# the diagonal block, n + r + (-(n-n1), -n1, -(n1-1), -1, 0, 1, n1-1, n1, n-n1)
+# in the cross block.  Each slot is tied to one lattice edge of its site
+# (0: none, 1: j == 0, 2: j == n1-1, 3: i == 0, 4: i == n2-1); a band slot is
+# present off that edge, a wrap slot only on it.  Row n + r uses the first
+# five slots.
+_SLOT_EDGE = np.array([0, 2, 1, 4, 3, 4, 3, 2, 1, 0, 2, 1, 4, 3])
+_SLOT_WRAP = np.array([0, 0, 1, 0, 1, 1, 0, 1, 0, 0, 0, 1, 0, 1], dtype=bool)
 
-    Layout: tridiag(x, y, z) sub-blocks on the block diagonal, diag(z) on the
-    first block superdiagonal, diag(x) on the first block subdiagonal.  The
-    circulant version adds the corner entries x at (0, n1-1) / z at (n1-1, 0)
-    inside every diagonal sub-block plus the block-level wrap blocks diag(x)
-    at (0, n2-1) and diag(z) at (n2-1, 0).  Zero couplings are never stored.
-    """
+
+def _stencil_triplets(theta: Theta, dims: GridDims, band: bool, wrap: bool):
+    """Upper-triangle triplets, in (row, col) order, of the band slots (Q),
+    band and wrap slots (Q~) or wrap slots (Q~ - Q) of the stencil table."""
     n1, n2, n = dims.n1, dims.n2, dims.n
-    idx = np.arange(n)
-    rows, cols, vals = [], [], []
-
-    def add(r, c, value):
-        if value != 0.0 and r.size:
-            rows.append(r)
-            cols.append(c)
-            vals.append(np.full(r.size, value))
-
-    add(idx, idx, y)
-    in_row = idx[idx % n1 != n1 - 1]          # within-block band
-    add(in_row, in_row + 1, z)
-    add(in_row + 1, in_row, x)
-    lower = idx[idx < n - n1]                  # first neighbour blocks
-    add(lower, lower + n1, z)
-    add(lower + n1, lower, x)
-    if wrap:
-        first = np.arange(n2) * n1             # sub-block corners
-        add(first, first + n1 - 1, x)
-        add(first + n1 - 1, first, z)
-        head = np.arange(n1)                   # block-level wrap
-        tail = head + n - n1
-        add(head, tail, x)
-        add(tail, head, z)
-
-    if rows:
-        return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-    return (np.empty(0, dtype=np.int64),) * 2 + (np.empty(0),)
-
-
-def _inner_triplets(theta: Theta, dims: GridDims, wrap: bool):
-    """Upper-triangle triplets of the 2n x 2n inner precision (wrap=True: Q~).
-
-    The blocks [[T11, T12], [T12^T, T22]] are placed on or above the block
-    diagonal and only their entries with row <= col are kept: the upper
-    triangle of the symmetric diagonal blocks and all of the cross block.
-    """
-    n = dims.n
-    rows, cols, vals = [], [], []
-    for (x, y, z), dr, dc in (((theta.rho11, 1.0, theta.rho11), 0, 0),
-                              ((theta.rho21, theta.phi, theta.rho12), 0, n),
-                              ((theta.rho22, 1.0, theta.rho22), n, n)):
-        r, c, v = _block_triplets(x, y, z, dims, wrap)
-        r, c = r + dr, c + dc
-        upper = r <= c
-        rows.append(r[upper])
-        cols.append(c[upper])
-        vals.append(v[upper])
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    d = n - n1
+    i, j = np.divmod(np.arange(n), n1)
+    edges = np.stack([np.zeros(n, dtype=bool), j == 0, j == n1 - 1, i == 0, i == n2 - 1],
+                     axis=1)
+    mask = (edges[:, _SLOT_EDGE] == _SLOT_WRAP) & np.where(_SLOT_WRAP, wrap, band)
+    offsets = np.array([0, 1, n1 - 1, n1, d,
+                        n - d, n - n1, n - n1 + 1, n - 1, n, n + 1, n + n1 - 1, n + n1, n + d])
+    t = theta
+    top = np.array([1.0, t.rho11, t.rho11, t.rho11, t.rho11, t.rho12, t.rho21, t.rho12,
+                    t.rho21, t.phi, t.rho12, t.rho21, t.rho12, t.rho21])
+    bottom = np.array([1.0, t.rho22, t.rho22, t.rho22, t.rho22])
+    r0, s0 = np.nonzero(mask)
+    r1, s1 = np.nonzero(mask[:, :5])
+    rows = np.concatenate([r0, r1 + n])
+    slots = np.concatenate([s0, s1])
+    return rows, rows + offsets[slots], np.concatenate([top[s0], bottom[s1]])
 
 
 def build_inner_precision(theta: Theta, dims) -> SparseSymMatrix:
@@ -312,13 +273,13 @@ def build_inner_precision(theta: Theta, dims) -> SparseSymMatrix:
     so all validity work operates on it.
     """
     dims = _as_dims(dims)
-    return SparseSymMatrix(2 * dims.n, *_inner_triplets(theta, dims, wrap=False))
+    return SparseSymMatrix(2 * dims.n, *_stencil_triplets(theta, dims, True, False))
 
 
 def build_precision(theta: Theta, tau: Tau, dims) -> SparseSymMatrix:
     """The full precision matrix, i.e. the inner matrix scaled by 1/tau per variable."""
     dims = _as_dims(dims)
-    r, c, v = _inner_triplets(theta, dims, wrap=False)
+    r, c, v = _stencil_triplets(theta, dims, True, False)
     s = np.repeat([1.0 / tau.tau1, 1.0 / tau.tau2], dims.n)
     return SparseSymMatrix(2 * dims.n, r, c, v * (s[r] * s[c]))
 
@@ -331,14 +292,8 @@ def build_bundle(theta: Theta, dims) -> PrecisionBundle:
     """
     dims = _as_dims(dims)
     dim = 2 * dims.n
-    rq, cq, vq = _inner_triplets(theta, dims, wrap=False)
-    rt, ct, vt = _inner_triplets(theta, dims, wrap=True)
-    q = SparseSymMatrix(dim, rq, cq, vq)
-    q_tilde = SparseSymMatrix(dim, rt, ct, vt)
-    # Q~ repeats every entry of Q with the same value (the wrap positions are
-    # disjoint from Q's for n1, n2 >= 3), so the merge cancels them exactly.
-    delta_q = SparseSymMatrix(dim, np.concatenate([rt, rq]), np.concatenate([ct, cq]),
-                              np.concatenate([vt, -vq]))
+    q, q_tilde, delta_q = (SparseSymMatrix(dim, *_stencil_triplets(theta, dims, band, wrap))
+                           for band, wrap in ((True, False), (True, True), (False, True)))
     return PrecisionBundle(q=q, q_tilde=q_tilde, delta_q=delta_q, dims=dims, theta=theta)
 
 

@@ -255,7 +255,7 @@ def dd_coverage_experiment(dims, n_valid: int, seed: int = 0) -> CoverageResult:
     region fills only ~0.2% of the box, so the accepted count is the one
     that controls the precision of the ratio).  Memory stays O(chunk); the
     screened validity check keeps the throughput at millions of proposals
-    per minute.  Raises :class:`LowAcceptanceError` after 200,000,000
+    per second.  Raises :class:`LowAcceptanceError` after 200,000,000
     proposals.
     """
     if n_valid < 1:

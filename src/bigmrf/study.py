@@ -142,7 +142,8 @@ def fit_loglog(records, field: str = "delta") -> SlopeFit:
     """Least-squares line of log10(field) against log10(n1*n2).
 
     Records with non-positive or non-finite field values are excluded (their
-    count is reported); at least three usable points are required.
+    count is reported); at least three usable points, on at least two
+    distinct grid areas, are required.
     """
     if field not in ("eps", "delta"):
         raise ValueError("field must be 'eps' or 'delta'")
@@ -153,6 +154,8 @@ def fit_loglog(records, field: str = "delta") -> SlopeFit:
     if usable.sum() < 3:
         raise ValueError(f"need >= 3 usable points, got {int(usable.sum())} "
                          f"({n_excluded} excluded)")
+    if np.unique(area[usable]).size < 2:
+        raise ValueError("usable points must span at least two distinct grid areas")
     x = np.log10(area[usable])
     y = np.log10(vals[usable])
     xc = x - x.mean()

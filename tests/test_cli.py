@@ -131,6 +131,15 @@ class TestSample:
         assert captured.out.startswith("idx,phi,rho11")
         assert "accepted" in captured.err
 
+    def test_low_acceptance_exits_70(self, capsys):
+        # diag_dominance accepts nothing here: the warm-up stops the run
+        args = ["sample", "--n1", "5", "--n2", "5", "-N", "4096", "--method", "dd",
+                "--seed", "5"]
+        assert main(args) == 70
+        assert capsys.readouterr().err == (
+            "bigmrf: acceptance rate 0.00e+00 below 0.0001 after 4096 proposals "
+            "(method=diag_dominance, dims=(5,5))\n")
+
 
 class TestSlice:
     def test_csv_and_svg(self, tmp_path, capsys):

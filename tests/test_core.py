@@ -63,14 +63,23 @@ class TestDomainTypes:
 
 
 class TestSparseSymMatrix:
-    def test_canonicalisation(self):
-        # duplicates merge, zeros drop, lower triangle folds up
-        m = SparseSymMatrix(3, [2, 0, 1, 1], [0, 0, 1, 1], [5.0, 1.0, 2.0, -2.0])
-        assert m.rows.tolist() == [0, 0]
-        assert m.cols.tolist() == [0, 2]
-        assert m.vals.tolist() == [1.0, 5.0]
-        assert m.nnz == 3  # mirrored off-diagonal counted twice
-        assert m.nnz_stored == 2
+    @pytest.mark.parametrize("rows, cols", [
+        ([0, 2], [0, 0]),        # lower-triangle entry
+        ([0, 0, 1], [1, 1, 2]),  # duplicate (row, col)
+        ([1, 0], [2, 2]),        # rows out of order
+        ([0, 0], [2, 1]),        # columns out of order within a row
+    ], ids=["lower", "duplicate", "row_order", "col_order"])
+    def test_rejects_non_canonical_triplets(self, rows, cols):
+        with pytest.raises(ValueError, match="row <= col"):
+            SparseSymMatrix(3, rows, cols, np.ones(len(rows)))
+
+    def test_drops_exact_zeros(self):
+        m = SparseSymMatrix(3, [0, 0, 1, 1, 2], [0, 2, 1, 2, 2], [1.0, 5.0, 0.0, -0.0, 3.0])
+        assert m.rows.tolist() == [0, 0, 2]
+        assert m.cols.tolist() == [0, 2, 2]
+        assert m.vals.tolist() == [1.0, 5.0, 3.0]
+        assert m.nnz == 4  # mirrored off-diagonal counted twice
+        assert m.nnz_stored == 3
 
     def test_bounds_checked(self):
         with pytest.raises(ValueError):
@@ -80,10 +89,12 @@ class TestSparseSymMatrix:
 
     def test_dense_csr_agree(self):
         rng = np.random.default_rng(3)
-        m = SparseSymMatrix(5, rng.integers(0, 5, 12), rng.integers(0, 5, 12),
-                            rng.normal(size=12))
+        a = rng.normal(size=(5, 5))
+        a = a + a.T
+        r, c = np.triu_indices(5)
+        m = SparseSymMatrix(5, r, c, a[r, c])
+        np.testing.assert_array_equal(m.to_dense(), a)
         np.testing.assert_array_equal(m.to_dense(), m.to_csr().toarray())
-        np.testing.assert_array_equal(m.to_dense(), m.to_dense().T)
 
 
 class TestMatvec:

@@ -40,6 +40,13 @@ class TestFitLogLog:
         with pytest.raises(ValueError):
             fit_loglog(_synthetic_records(1.0, [10, 14]), "delta")
 
+    def test_single_grid_area_raises(self):
+        # 20x30, 30x20 and 24x25 all have area 600: no slope to fit
+        records = convergence_sweep([Theta(0.1, 0.1, 0.0, 0.0, 0.1)],
+                                    [(20, 30), (30, 20), (24, 25)])
+        with pytest.raises(ValueError, match="two distinct grid areas"):
+            fit_loglog(records, "delta")
+
     def test_nonpositive_values_excluded_with_count(self):
         records = _synthetic_records(1.0, [10, 14, 20, 28, 40])
         zeroed = records[0]
